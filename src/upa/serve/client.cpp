@@ -13,27 +13,10 @@
 #include <utility>
 
 #include "upa/common/error.hpp"
+#include "upa/serve/net.hpp"
 #include "upa/serve/protocol.hpp"
 
 namespace upa::serve {
-
-namespace {
-
-bool send_all(int fd, const std::string& data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
 
 std::string call_outcome_name(CallOutcome outcome) {
   switch (outcome) {
@@ -139,7 +122,7 @@ void Client::close() {
 
 void Client::send_line(const std::string& line) {
   UPA_REQUIRE(fd_ >= 0, "Client is not connected");
-  if (!send_all(fd_, line + "\n")) {
+  if (!net::send_all(fd_, line + "\n")) {
     throw common::ModelError("send failed: " +
                              std::string(std::strerror(errno)));
   }
@@ -147,24 +130,15 @@ void Client::send_line(const std::string& line) {
 
 std::string Client::read_line() {
   UPA_REQUIRE(fd_ >= 0, "Client is not connected");
-  for (;;) {
-    const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      std::string line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      return line;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      throw common::ModelError(
-          n == 0 ? "connection closed before a response line"
-                 : "recv failed: " + std::string(std::strerror(errno)));
-    }
-    buffer_.append(chunk, static_cast<std::size_t>(n));
+  std::string line;
+  switch (net::read_line(fd_, buffer_, line, std::string::npos)) {
+    case net::LineRead::kLine: return line;
+    case net::LineRead::kClosed:
+      throw common::ModelError("connection closed before a response line");
+    case net::LineRead::kFailed: break;
   }
+  throw common::ModelError("recv failed: " +
+                           std::string(std::strerror(errno)));
 }
 
 void Client::shutdown_both() {
@@ -172,29 +146,8 @@ void Client::shutdown_both() {
 }
 
 std::string Client::call_line(const std::string& request_line) {
-  UPA_REQUIRE(fd_ >= 0, "Client is not connected");
-  if (!send_all(fd_, request_line + "\n")) {
-    throw common::ModelError("send failed: " +
-                             std::string(std::strerror(errno)));
-  }
-  for (;;) {
-    const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      std::string line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      return line;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      throw common::ModelError(
-          n == 0 ? "connection closed before a response line"
-                 : "recv failed: " + std::string(std::strerror(errno)));
-    }
-    buffer_.append(chunk, static_cast<std::size_t>(n));
-  }
+  send_line(request_line);
+  return read_line();
 }
 
 CallResult Client::call(const std::string& method, Json params,

@@ -1,37 +1,22 @@
 #include "upa/serve/telemetry.hpp"
 
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <chrono>
-#include <cmath>
 #include <utility>
 
-#include "upa/common/error.hpp"
 #include "upa/serve/json.hpp"
+#include "upa/serve/net.hpp"
+#include "upa/serve/protocol.hpp"
 
 namespace upa::serve {
 
 namespace {
 
-void set_send_timeout(int fd, double seconds) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(seconds);
-  tv.tv_usec = static_cast<suseconds_t>(
-      (seconds - std::floor(seconds)) * 1e6);
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-bool send_payload(int fd, const std::string& payload) {
-  std::size_t sent = 0;
-  while (sent < payload.size()) {
-    const ssize_t n = ::send(fd, payload.data() + sent,
-                             payload.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
+/// The subscribe error envelope, newline-terminated.
+std::string refusal(const Json& id, int code, const std::string& message) {
+  return make_error_response(id, code, message).dump() + "\n";
 }
 
 Json span_attrs_json(const obs::Span& span) {
@@ -60,21 +45,74 @@ Json histogram_json(const obs::Histogram& histogram) {
 }
 
 TelemetryStreamer::TelemetryStreamer(TelemetryStreamerOptions options)
-    : options_(std::move(options)) {
-  UPA_REQUIRE(options_.max_subscribers >= 1,
-              "telemetry needs room for at least one subscriber");
-}
+    : options_(std::move(options)) {}
 
 TelemetryStreamer::~TelemetryStreamer() { stop(); }
+
+TelemetryStreamer::Subscribe TelemetryStreamer::subscribe(
+    int fd, const std::string& line) {
+  // Cheap pre-filter: almost every request line lacks the literal and
+  // skips the extra parse entirely.
+  if (line.find("subscribe") == std::string::npos) {
+    return Subscribe::kNotSubscribe;
+  }
+  Json request;
+  try {
+    request = parse_json(line);
+  } catch (const std::exception&) {
+    return Subscribe::kNotSubscribe;  // the handler answers the 400
+  }
+  if (!request.is_object()) return Subscribe::kNotSubscribe;
+  const Json* method = request.find("method");
+  if (method == nullptr || !method->is_string() ||
+      method->as_string() != "subscribe") {
+    return Subscribe::kNotSubscribe;
+  }
+  const Json* id_member = request.find("id");
+  const Json id = id_member != nullptr ? *id_member : Json();
+
+  double interval_ms = 500.0;
+  const Json* params = request.find("params");
+  if (params != nullptr && !params->is_object() && !params->is_null()) {
+    (void)net::send_all(fd, refusal(id, ErrorCode::kBadRequest,
+                                    "'params' must be an object when "
+                                    "present"));
+    return Subscribe::kRefused;
+  }
+  if (params != nullptr && params->is_object()) {
+    if (const Json* v = params->find("interval_ms"); v != nullptr) {
+      if (!v->is_number() || !(v->as_number() >= 10.0) ||
+          !(v->as_number() <= 60000.0)) {
+        (void)net::send_all(
+            fd, refusal(id, ErrorCode::kBadRequest,
+                        "param 'interval_ms' must be a number in "
+                        "[10, 60000]"));
+        return Subscribe::kRefused;
+      }
+      interval_ms = v->as_number();
+    }
+  }
+
+  Json result = Json::object();
+  result.set("subscribed", Json(true));
+  result.set("process", Json(options_.process));
+  result.set("interval_ms", Json(interval_ms));
+  const std::string ack = make_result_response(id, std::move(result)).dump();
+  if (!add_subscriber(fd, interval_ms / 1000.0, ack)) {
+    (void)net::send_all(fd, refusal(id, ErrorCode::kQueueFull,
+                                    "telemetry subscriber limit reached"));
+    return Subscribe::kRefused;
+  }
+  return Subscribe::kStreaming;
+}
 
 bool TelemetryStreamer::add_subscriber(int fd, double interval_seconds,
                                        const std::string& ack_line) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (stopping_) return false;
   reap_finished_locked();
-  if (subscribers_.size() >= options_.max_subscribers) return false;
+  if (subscribers_.size() >= kMaxSubscribers) return false;
 
-  set_send_timeout(fd, options_.io_timeout_seconds);
   auto subscriber = std::make_unique<Subscriber>();
   subscriber->fd = fd;
   subscriber->interval_seconds = interval_seconds;
@@ -89,12 +127,12 @@ void TelemetryStreamer::run_subscriber(Subscriber* subscriber,
                                        std::string ack_line) {
   std::size_t span_cursor = 0;
   std::uint64_t seq = 0;
-  bool ok = send_payload(subscriber->fd, ack_line + "\n");
+  bool ok = net::send_all(subscriber->fd, ack_line + "\n");
   std::unique_lock<std::mutex> lock(mutex_);
   while (ok && !stopping_) {
     lock.unlock();
     const std::string payload = build_tick(seq++, span_cursor);
-    ok = send_payload(subscriber->fd, payload);
+    ok = net::send_all(subscriber->fd, payload);
     lock.lock();
     if (!ok || stopping_) break;
     cv_.wait_for(
@@ -109,10 +147,16 @@ std::string TelemetryStreamer::build_tick(std::uint64_t seq,
                                           std::size_t& span_cursor) const {
   obs::MetricsRegistry registry;
   if (options_.fill_metrics) options_.fill_metrics(registry);
-  const std::uint64_t dropped =
-      options_.dropped_spans ? options_.dropped_spans() : 0;
+  std::uint64_t dropped = 0;
   std::vector<obs::Span> spans;
-  if (options_.copy_spans) spans = options_.copy_spans(span_cursor);
+  if (options_.obs != nullptr) {
+    std::lock_guard<std::mutex> lock(*options_.obs_mutex);
+    dropped = options_.obs->tracer.dropped();
+    const std::vector<obs::Span>& table = options_.obs->tracer.spans();
+    spans.assign(table.begin() + static_cast<std::ptrdiff_t>(span_cursor),
+                 table.end());
+    span_cursor = table.size();
+  }
 
   Json metrics = Json::object();
   metrics.set("telemetry", Json("metrics"));
@@ -170,12 +214,6 @@ void TelemetryStreamer::stop() {
     if (subscriber->thread.joinable()) subscriber->thread.join();
     ::close(subscriber->fd);
   }
-}
-
-std::size_t TelemetryStreamer::active_subscribers() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  reap_finished_locked();
-  return subscribers_.size();
 }
 
 void TelemetryStreamer::reap_finished_locked() {

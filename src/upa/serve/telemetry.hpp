@@ -16,12 +16,12 @@
 //    "start":1.25,"end":1.31,"attrs":{...}}
 //
 // Span streaming is cursor-based over the owner's append-only span
-// table; the owner guarantees (via its copy_spans callback) that spans
-// are only visible once complete, so a subscriber never sees a
-// half-open span. A slow or dead subscriber is detached on the first
-// failed send -- it cannot block the serving path, which never touches
-// the streamer after the subscribe handoff.
+// table, read under the mutex the owner records spans with, so a
+// subscriber never sees a half-open span. A slow or dead subscriber is
+// detached on the first failed send -- it cannot block the serving
+// path, which never touches the streamer after the subscribe handoff.
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -30,10 +30,8 @@
 #include <thread>
 #include <vector>
 
-#include <condition_variable>
-
 #include "upa/obs/metrics.hpp"
-#include "upa/obs/trace.hpp"
+#include "upa/obs/observer.hpp"
 #include "upa/serve/json.hpp"
 
 namespace upa::serve {
@@ -44,40 +42,46 @@ namespace upa::serve {
 [[nodiscard]] Json histogram_json(const obs::Histogram& histogram);
 
 struct TelemetryStreamerOptions {
-  /// Label stamped on every emitted line (e.g. "upa_served:7077").
+  /// Label stamped on every emitted line and on the subscribe ack
+  /// (e.g. "upa_served:7077").
   std::string process;
-  std::size_t max_subscribers = 64;
-  /// Send timeout per tick; a subscriber that cannot drain one tick in
-  /// this long is dropped.
-  double io_timeout_seconds = 10.0;
   /// Fills a fresh registry with the owner's current metric snapshot.
   std::function<void(obs::MetricsRegistry&)> fill_metrics;
-  /// Copies completed spans at table positions >= cursor and advances
-  /// the cursor past them. Must be internally synchronized.
-  std::function<std::vector<obs::Span>(std::size_t& cursor)> copy_spans;
-  /// Current dropped-span count of the owner's tracer.
-  std::function<std::uint64_t()> dropped_spans;
+  /// The owner's observer (null = no spans) and the mutex that guards
+  /// it. Spans are copied from the tracer's append-only table under
+  /// `obs_mutex`, so an owner that records each batch of spans under the
+  /// same mutex never has a batch streamed half-written.
+  obs::Observer* obs = nullptr;
+  std::mutex* obs_mutex = nullptr;
 };
 
 class TelemetryStreamer {
  public:
+  /// Sender threads past this many are refused with a 503 envelope.
+  static constexpr std::size_t kMaxSubscribers = 64;
+
   explicit TelemetryStreamer(TelemetryStreamerOptions options);
   ~TelemetryStreamer();
 
   TelemetryStreamer(const TelemetryStreamer&) = delete;
   TelemetryStreamer& operator=(const TelemetryStreamer&) = delete;
 
-  /// Takes ownership of `fd` and starts streaming to it: first the ack
-  /// line (the subscribe RPC response), then one tick immediately, then
-  /// one tick per interval. Returns false (without touching `fd`) when
-  /// the subscriber limit is reached or the streamer is stopping.
-  bool add_subscriber(int fd, double interval_seconds,
-                      const std::string& ack_line);
+  enum class Subscribe { kNotSubscribe, kStreaming, kRefused };
+
+  /// Subscribe interception for a connection's request line. A line
+  /// that is not a `subscribe` request returns kNotSubscribe untouched.
+  /// A valid one takes ownership of `fd` and streams to it: first the
+  /// ack line (the subscribe RPC response), then one tick immediately,
+  /// then one tick per interval (kStreaming: the caller must not touch
+  /// `fd` again). Bad params, the subscriber limit, or a stopping
+  /// streamer get an error envelope written to `fd` instead (kRefused:
+  /// the connection stays in request mode). The fd's send timeout,
+  /// already set by its owner, bounds every tick: a subscriber that
+  /// cannot drain one in time is dropped.
+  [[nodiscard]] Subscribe subscribe(int fd, const std::string& line);
 
   /// Stops every subscriber thread and closes every owned fd. Idempotent.
   void stop();
-
-  [[nodiscard]] std::size_t active_subscribers();
 
  private:
   struct Subscriber {
@@ -87,6 +91,10 @@ class TelemetryStreamer {
     std::thread thread;
   };
 
+  /// Starts a sender thread for `fd`; false (without touching `fd`) at
+  /// the subscriber limit or while stopping.
+  bool add_subscriber(int fd, double interval_seconds,
+                      const std::string& ack_line);
   void run_subscriber(Subscriber* subscriber, std::string ack_line);
   [[nodiscard]] std::string build_tick(std::uint64_t seq,
                                        std::size_t& span_cursor) const;

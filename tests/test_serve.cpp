@@ -1,7 +1,8 @@
 // The evaluation service: dispatcher semantics, loopback server
-// lifecycle, non-blocking admission control, deadlines, graceful drain,
-// and the M/M/i/K dogfood -- the measured rejection fraction of the
-// server itself must match the paper's eq. (3) loss probability.
+// lifecycle, non-blocking admission control, deadlines, and the M/M/i/K
+// dogfood -- the measured rejection fraction of the server itself must
+// match the paper's eq. (3) loss probability. The graceful drain is
+// pinned for both daemons in test_serve_net.cpp.
 //
 // Naming note: the ServeDispatcher / ServeServer suites run under the
 // ThreadSanitizer CI job (its ctest regex includes "Serve").
@@ -233,7 +234,7 @@ TEST(ServeDispatcher, CacheDigestPullShipsOnlyMissingRecords) {
   upa::cache::ScopedEnable on(true);
   upa::cache::global().clear();
   const std::string warm_line = d.dispatch_line(request);
-  d.dispatch_line(
+  (void)d.dispatch_line(
       R"({"id": 2, "method": "mmck_metrics",)"
       R"( "params": {"alpha": 223, "nu": 97, "servers": 4, "capacity": 13}})");
 
@@ -299,7 +300,7 @@ TEST(ServeDispatcher, CacheFingerprintAndPagedPullOverTheProtocol) {
   upa::cache::ScopedEnable on(true);
   upa::cache::global().clear();
   for (int k = 0; k < 6; ++k) {
-    d.dispatch_line(
+    (void)d.dispatch_line(
         R"({"id": 1, "method": "mmck_metrics", "params":)"
         R"( {"alpha": )" +
         std::to_string(150 + k) + R"(, "nu": 97, "servers": 4,)"
@@ -315,7 +316,7 @@ TEST(ServeDispatcher, CacheFingerprintAndPagedPullOverTheProtocol) {
   EXPECT_EQ(fp_hex.size(), 16u);  // one folded u64
 
   // The fingerprint tracks the warm set: one more entry changes it.
-  d.dispatch_line(
+  (void)d.dispatch_line(
       R"({"id": 3, "method": "mmck_metrics", "params":)"
       R"( {"alpha": 170, "nu": 97, "servers": 4, "capacity": 13}})");
   const Json fp2 = parse_json(d.dispatch_line(
@@ -558,70 +559,6 @@ TEST(ServeServer, RequestDeadlineTightensButNeverExtends) {
   // for the full read timeout otherwise.
   client.close();
   server.stop();
-}
-
-TEST(ServeServer, GracefulShutdownDrainsAdmittedConnections) {
-  // Four in-flight sleeps on two workers; stop() must serve all four
-  // (drain, not abort), refuse new connections afterwards, and join
-  // every thread before returning.
-  Server server(loopback_config(2, 8));
-  server.start();
-
-  constexpr int kClients = 4;
-  std::atomic<int> ok_count{0};
-  std::vector<std::thread> clients;
-  clients.reserve(kClients);
-  for (int i = 0; i < kClients; ++i) {
-    clients.emplace_back([&, i] {
-      Client c;
-      c.connect("127.0.0.1", server.port());
-      Json params = Json::object();
-      params.set("seconds", Json(0.15));
-      if (c.call("sleep", std::move(params), i).ok()) ++ok_count;
-    });
-  }
-
-  // Give all four time to be admitted, then stop while they sleep.
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  server.stop();
-
-  for (std::thread& t : clients) t.join();
-  EXPECT_EQ(ok_count.load(), kClients);
-
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.accepted, static_cast<std::uint64_t>(kClients));
-  EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kClients));
-  EXPECT_EQ(stats.in_system, 0u);
-
-  Client late;
-  EXPECT_THROW(late.connect("127.0.0.1", server.port(), 0.5),
-               upa::common::ModelError);
-}
-
-TEST(ServeServer, DrainTerminatesAgainstBusyKeepAliveClient) {
-  // A kept-alive client that never stops issuing requests must not hold
-  // stop() open: once the drain begins, the request in flight is served
-  // and the connection is then closed. The test's real assertion is
-  // that server.stop() returns at all.
-  Server server(loopback_config(1, 2));
-  server.start();
-
-  std::atomic<bool> client_done{false};
-  std::thread client([&] {
-    Client c;
-    c.connect("127.0.0.1", server.port());
-    for (std::uint64_t id = 0; id < 1000000; ++id) {
-      if (!c.call("ping", Json(), id).ok()) break;  // closed by the drain
-    }
-    client_done.store(true);
-  });
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  server.stop();
-  client.join();
-  EXPECT_TRUE(client_done.load());
-  EXPECT_EQ(server.stats().in_system, 0u);
-  EXPECT_GE(server.stats().requests, 1u);
 }
 
 TEST(ServeServer, KeepAliveRequestsGetFreshDeadlineBudgets) {

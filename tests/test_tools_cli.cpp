@@ -3,16 +3,27 @@
 // usage message) instead of warning and carrying on -- and BEFORE any
 // side effect (starting a server, spawning replicas, writing bench
 // artifacts). Binary paths are injected by CMake as UPA_CLI_BINARY,
-// UPA_SERVED_BINARY, UPA_LOADGEN_BINARY, and UPA_DISPATCH_BINARY.
+// UPA_SERVED_BINARY, UPA_LOADGEN_BINARY, and UPA_DISPATCH_BINARY. The
+// daemons' other half of the contract: a SIGTERM drains and exits 0,
+// even one that lands the moment the listener is up.
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <array>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
+#include <vector>
+
+#include "upa/serve/client.hpp"
 
 namespace {
 
@@ -200,6 +211,134 @@ TEST(ToolsCli, DispatchTypoFlagExitsTwoBeforeListening) {
             std::string::npos);
   EXPECT_NE(r.output.find("usage:"), std::string::npos);
   EXPECT_EQ(r.output.find("listening on"), std::string::npos);
+}
+
+// --- Daemons drain on a SIGTERM from the first moment they serve ------
+
+/// A loopback port nobody is bound to right now (the kernel's pick for
+/// an ephemeral bind, released at once).
+std::uint16_t unused_port() {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
+  socklen_t len = sizeof addr;
+  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  ::close(fd);
+  return ntohs(addr.sin_port);
+}
+
+/// A daemon child process with stdout and stderr on one pipe.
+struct Daemon {
+  pid_t pid = -1;
+  int output_fd = -1;
+};
+
+Daemon spawn_daemon(const std::vector<std::string>& argv) {
+  std::vector<char*> args;
+  for (const std::string& a : argv) {
+    args.push_back(const_cast<char*>(a.c_str()));
+  }
+  args.push_back(nullptr);
+  int fds[2];
+  if (::pipe(fds) != 0) return {};
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::dup2(fds[1], STDOUT_FILENO);
+    ::dup2(fds[1], STDERR_FILENO);
+    ::close(fds[0]);
+    ::close(fds[1]);
+    ::execv(args[0], args.data());
+    ::_exit(127);
+  }
+  ::close(fds[1]);
+  return {pid, fds[0]};
+}
+
+/// Reads the child's output to EOF and reaps it.
+RunResult finish_daemon(Daemon& daemon) {
+  RunResult result;
+  std::array<char, 4096> chunk{};
+  ssize_t n = 0;
+  while ((n = ::read(daemon.output_fd, chunk.data(), chunk.size())) > 0) {
+    result.output.append(chunk.data(), static_cast<std::size_t>(n));
+  }
+  ::close(daemon.output_fd);
+  int status = 0;
+  ::waitpid(daemon.pid, &status, 0);
+  if (WIFEXITED(status)) result.exit_code = WEXITSTATUS(status);
+  return result;
+}
+
+/// Polls `ping` until it answers ok; false if the child exits first
+/// (its port was taken) or 10 s pass.
+bool wait_for_ping(const Daemon& daemon, std::uint16_t port) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    int status = 0;
+    if (::waitpid(daemon.pid, &status, WNOHANG) == daemon.pid) return false;
+    try {
+      upa::serve::Client client;
+      client.connect("127.0.0.1", port, 0.5);
+      if (client.call("ping", upa::serve::Json()).ok()) return true;
+    } catch (const std::exception&) {
+      // not listening yet
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+/// Spawns `binary --port P extra...` on a fresh port until its first ok
+/// ping (retrying on a port race); `port` receives P.
+Daemon spawn_serving(const std::string& binary,
+                     const std::vector<std::string>& extra,
+                     std::uint16_t& port) {
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    port = unused_port();
+    std::vector<std::string> argv = {binary, "--port", std::to_string(port)};
+    argv.insert(argv.end(), extra.begin(), extra.end());
+    Daemon daemon = spawn_daemon(argv);
+    if (daemon.pid <= 0) break;
+    if (wait_for_ping(daemon, port)) return daemon;
+    ::kill(daemon.pid, SIGKILL);
+    (void)finish_daemon(daemon);
+  }
+  ADD_FAILURE() << binary << " never answered ping";
+  return {};
+}
+
+/// SIGTERM at the first ok ping, 20 times: every round must drain and
+/// exit 0 rather than die of the signal.
+void expect_sigterm_drains(const std::string& binary,
+                           const std::vector<std::string>& extra) {
+  for (int round = 0; round < 20; ++round) {
+    std::uint16_t port = 0;
+    Daemon daemon = spawn_serving(binary, extra, port);
+    ASSERT_GT(daemon.pid, 0);
+    ::kill(daemon.pid, SIGTERM);
+    const RunResult r = finish_daemon(daemon);
+    EXPECT_EQ(r.exit_code, 0) << "round " << round << ":\n" << r.output;
+    EXPECT_NE(r.output.find("draining"), std::string::npos)
+        << "round " << round << ":\n" << r.output;
+  }
+}
+
+TEST(ToolsCli, ServedDrainsOnSigtermRightAfterStart) {
+  expect_sigterm_drains(UPA_SERVED_BINARY, {});
+}
+
+TEST(ToolsCli, DispatchDrainsOnSigtermRightAfterStart) {
+  std::uint16_t upstream_port = 0;
+  Daemon upstream = spawn_serving(UPA_SERVED_BINARY, {}, upstream_port);
+  ASSERT_GT(upstream.pid, 0);
+  expect_sigterm_drains(
+      UPA_DISPATCH_BINARY,
+      {"--upstreams", "127.0.0.1:" + std::to_string(upstream_port)});
+  ::kill(upstream.pid, SIGTERM);
+  EXPECT_EQ(finish_daemon(upstream).exit_code, 0);
 }
 
 }  // namespace

@@ -189,7 +189,9 @@ TEST(WebFarm, FullCoverageIsBitForBitThePerfectModel) {
   ASSERT_EQ(dist.operational.size(), pi.size());
   for (std::size_t i = 0; i < pi.size(); ++i) {
     EXPECT_EQ(dist.operational[i], pi[i]) << "state " << i;
-    if (i < dist.manual.size()) EXPECT_EQ(dist.manual[i], 0.0);
+    if (i < dist.manual.size()) {
+      EXPECT_EQ(dist.manual[i], 0.0);
+    }
   }
 }
 

@@ -152,10 +152,11 @@ int main(int argc, char** argv) {
     config.obs = &observer;
 
     dispatch::Front front(std::move(config));
-    front.start();
-
+    // Handlers go in before the listener comes up: a SIGTERM that lands
+    // right after start() must drain, not kill the process.
     std::signal(SIGINT, on_signal);
     std::signal(SIGTERM, on_signal);
+    front.start();
 
     std::cout << "upa_dispatch listening on "
               << front.config().bind_address << ":" << front.port()

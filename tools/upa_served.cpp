@@ -163,6 +163,10 @@ int main(int argc, char** argv) {
     config.obs = &observer;
 
     serve::Server server(std::move(config));
+    // Handlers go in before the listener comes up: a SIGTERM that lands
+    // right after start() must drain, not kill the process.
+    std::signal(SIGINT, on_signal);
+    std::signal(SIGTERM, on_signal);
     server.start();
 
     // Anti-entropy starts after the server is up so a peer's concurrent
@@ -177,9 +181,6 @@ int main(int argc, char** argv) {
       serve::set_global_anti_entropy(anti_entropy.get());
       anti_entropy->start();
     }
-
-    std::signal(SIGINT, on_signal);
-    std::signal(SIGTERM, on_signal);
 
     std::cout << "upa_served listening on " << server.config().bind_address
               << ":" << server.port() << " (workers=i="
