@@ -14,7 +14,7 @@
 // lambda-hat is additionally EWMA-smoothed so a single bursty tick does
 // not flap the planner. nu-hat divides handler wall time, not
 // end-to-end latency, so queue-wait bias never contaminates the service
-// rate (see ServerStats::busy_seconds). The loss estimate carries its
+// rate (the serve.busy_seconds gauge). The loss estimate carries its
 // binomial standard deviation so consumers can tell a real SLO breach
 // from small-sample noise.
 

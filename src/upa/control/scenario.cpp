@@ -131,9 +131,11 @@ ControlRunSummary run_pass(const ControlScenarioConfig& config,
                                    r.sent, 1))) +
                0.02;
     out.within_gate = r.measured_loss <= out.gate;
-    const serve::ServerStats stats = server.stats();
-    out.workers_after = stats.workers;
-    out.capacity_after = stats.capacity;
+    const obs::MetricsRegistry stats = server.stats();
+    out.workers_after =
+        static_cast<std::size_t>(stats.gauges().at("serve.workers").value());
+    out.capacity_after =
+        static_cast<std::size_t>(stats.gauges().at("serve.capacity").value());
 
     summary.transport_errors += r.transport_errors;
     summary.all_within = summary.all_within && out.within_gate;

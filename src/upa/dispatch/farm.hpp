@@ -171,7 +171,7 @@ struct FarmExperimentConfig {
 
 struct FarmExperimentResult {
   serve::LossResult loss;   ///< client-side view through the front
-  FrontStats front;
+  obs::MetricsRegistry front;  ///< the front's snapshot at the end
   std::vector<UpstreamSnapshot> upstreams;
 
   /// (rejected + deadline + transport + other errors) / sent -- the

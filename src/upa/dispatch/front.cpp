@@ -33,6 +33,11 @@ double seconds_between(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double>(to - from).count();
 }
 
+/// Names one upstream's metrics: "dispatch.upstream.<host:port>.".
+std::string upstream_prefix(const UpstreamAddress& address) {
+  return "dispatch.upstream." + address.label() + ".";
+}
+
 }  // namespace
 
 Front::Front(FrontConfig config)
@@ -61,7 +66,7 @@ Front::Front(FrontConfig config)
         // admission: the front never forwards subscribe.
         o.telemetry.process = config_.telemetry_process;
         o.telemetry.fill_metrics = [this](obs::MetricsRegistry& metrics) {
-          publish_metrics(metrics);
+          fill_metrics(metrics);
         };
         o.telemetry.obs = config_.obs;
         o.telemetry.obs_mutex = &latency_mutex_;
@@ -120,79 +125,62 @@ void Front::stop() {
   health_->stop();
 }
 
-FrontStats Front::stats() const {
-  const serve::net::LineServerStats n = net_.stats();
-  FrontStats s;
-  s.accepted = n.accepted;
-  s.rejected = n.rejected;
-  s.completed = n.completed;
-  s.requests = requests_.load();
-  s.forwarded_ok = forwarded_ok_.load();
-  s.forwarded_rejected = forwarded_rejected_.load();
-  s.forwarded_deadline = forwarded_deadline_.load();
-  s.forwarded_error = forwarded_error_.load();
-  s.forwarded_transport = forwarded_transport_.load();
-  s.retries = retries_.load();
-  s.failovers = failovers_.load();
-  s.retries_exhausted = retries_exhausted_.load();
-  s.stats_served = stats_served_.load();
-  s.in_system = n.in_system;
-  s.max_in_system = n.max_in_system;
-  return s;
+obs::MetricsRegistry Front::stats() const {
+  obs::MetricsRegistry snapshot;
+  fill_metrics(snapshot);
+  return snapshot;
 }
 
 std::vector<UpstreamSnapshot> Front::upstreams() const {
   return pool_.snapshot();
 }
 
-void Front::publish_metrics(obs::MetricsRegistry& metrics) const {
-  const FrontStats s = stats();
-  metrics.gauge("dispatch.accepted").set(static_cast<double>(s.accepted));
-  metrics.gauge("dispatch.rejected").set(static_cast<double>(s.rejected));
-  metrics.gauge("dispatch.requests").set(static_cast<double>(s.requests));
-  metrics.gauge("dispatch.forwarded_ok")
-      .set(static_cast<double>(s.forwarded_ok));
-  metrics.gauge("dispatch.forwarded_rejected")
-      .set(static_cast<double>(s.forwarded_rejected));
-  metrics.gauge("dispatch.forwarded_deadline")
-      .set(static_cast<double>(s.forwarded_deadline));
-  metrics.gauge("dispatch.forwarded_error")
-      .set(static_cast<double>(s.forwarded_error));
-  metrics.gauge("dispatch.forwarded_transport")
-      .set(static_cast<double>(s.forwarded_transport));
-  metrics.gauge("dispatch.retries").set(static_cast<double>(s.retries));
-  metrics.gauge("dispatch.failovers").set(static_cast<double>(s.failovers));
-  metrics.gauge("dispatch.retries_exhausted")
-      .set(static_cast<double>(s.retries_exhausted));
-  for (const UpstreamSnapshot& u : pool_.snapshot()) {
-    const std::string prefix = "dispatch.upstream." + u.address.label();
-    metrics.gauge(prefix + ".healthy").set(u.healthy ? 1.0 : 0.0);
-    metrics.gauge(prefix + ".attempts")
-        .set(static_cast<double>(u.attempts));
-    metrics.gauge(prefix + ".ok").set(static_cast<double>(u.ok));
-    metrics.gauge(prefix + ".rejected")
-        .set(static_cast<double>(u.rejected));
-    metrics.gauge(prefix + ".transport")
-        .set(static_cast<double>(u.transport));
-    metrics.gauge(prefix + ".ejections")
-        .set(static_cast<double>(u.ejections));
-    metrics.gauge(prefix + ".readmissions")
-        .set(static_cast<double>(u.readmissions));
-  }
+void Front::fill_metrics(obs::MetricsRegistry& metrics) const {
+  net_.fill_metrics(metrics, "dispatch.");
+  const auto set = [&metrics](const std::string& name,
+                              const std::atomic<std::uint64_t>& counter) {
+    metrics.gauge(name).set(static_cast<double>(counter.load()));
+  };
+  set("dispatch.requests", requests_);
+  set("dispatch.forwarded_ok", forwarded_ok_);
+  set("dispatch.forwarded_rejected", forwarded_rejected_);
+  set("dispatch.forwarded_deadline", forwarded_deadline_);
+  set("dispatch.forwarded_error", forwarded_error_);
+  set("dispatch.forwarded_transport", forwarded_transport_);
+  set("dispatch.retries", retries_);
+  set("dispatch.failovers", failovers_);
+  set("dispatch.retries_exhausted", retries_exhausted_);
+  set("dispatch.stats_served", stats_served_);
+  const std::vector<UpstreamSnapshot> snapshots = pool_.snapshot();
   std::lock_guard<std::mutex> lock(latency_mutex_);
+  // Snapshot order is pool index order, so histogram i matches entry i.
+  for (std::size_t i = 0; i < snapshots.size(); ++i) {
+    const UpstreamSnapshot& u = snapshots[i];
+    const std::string prefix = upstream_prefix(u.address);
+    const auto gauge = [&](const char* name, double value) {
+      metrics.gauge(prefix + name).set(value);
+    };
+    gauge("healthy", u.healthy ? 1.0 : 0.0);
+    gauge("outstanding", static_cast<double>(u.outstanding));
+    gauge("attempts", static_cast<double>(u.attempts));
+    gauge("ok", static_cast<double>(u.ok));
+    gauge("rejected", static_cast<double>(u.rejected));
+    gauge("deadline", static_cast<double>(u.deadline));
+    gauge("errors", static_cast<double>(u.errors));
+    gauge("transport", static_cast<double>(u.transport));
+    gauge("probe_failures", static_cast<double>(u.probe_failures));
+    gauge("ejections", static_cast<double>(u.ejections));
+    gauge("readmissions", static_cast<double>(u.readmissions));
+    metrics
+        .histogram(prefix + "latency", latency_by_upstream_[i].upper_bounds())
+        .merge_from(latency_by_upstream_[i]);
+  }
   for (std::size_t i = 0; i < latency_by_outcome_.size(); ++i) {
     const std::string name =
         "dispatch.attempt_latency_seconds." +
         attempt_outcome_name(static_cast<AttemptOutcome>(i));
     metrics.histogram(name, latency_by_outcome_[i].upper_bounds())
         .merge_from(latency_by_outcome_[i]);
-  }
-  for (std::size_t i = 0; i < latency_by_upstream_.size(); ++i) {
-    if (latency_by_upstream_[i].count() == 0) continue;
-    const std::string name = "dispatch.upstream." +
-                             pool_.address(i).label() + ".latency_seconds";
-    metrics.histogram(name, latency_by_upstream_[i].upper_bounds())
-        .merge_from(latency_by_upstream_[i]);
   }
 }
 
@@ -223,13 +211,6 @@ ForwardAttempt Front::attempt_once(std::size_t index,
     latency_by_outcome_[static_cast<std::size_t>(attempt.outcome)].record(
         latency);
     latency_by_upstream_[index].record(latency);
-    if (config_.obs != nullptr) {
-      config_.obs->metrics.counter("dispatch.attempts").add(1);
-      config_.obs->metrics
-          .counter("dispatch.attempt." +
-                   attempt_outcome_name(attempt.outcome))
-          .add(1);
-    }
   }
   return attempt;
 }
@@ -445,47 +426,15 @@ std::string Front::dispatch_stats_line(const std::string& line) {
     if (const serve::Json* i = request.find("id"); i != nullptr) id = *i;
   } catch (const std::exception&) {
   }
-  const FrontStats s = stats();
-  serve::Json result = serve::Json::object();
+  const obs::MetricsRegistry snapshot = stats();
+  serve::Json result = serve::members(snapshot, "dispatch.");
   result.set("policy", serve::Json(balance_policy_name(config_.policy)));
   result.set("upstream_count", serve::Json(pool_.size()));
-  result.set("requests", serve::Json(static_cast<double>(s.requests)));
-  result.set("forwarded_ok",
-             serve::Json(static_cast<double>(s.forwarded_ok)));
-  result.set("forwarded_rejected",
-             serve::Json(static_cast<double>(s.forwarded_rejected)));
-  result.set("forwarded_deadline",
-             serve::Json(static_cast<double>(s.forwarded_deadline)));
-  result.set("forwarded_error",
-             serve::Json(static_cast<double>(s.forwarded_error)));
-  result.set("forwarded_transport",
-             serve::Json(static_cast<double>(s.forwarded_transport)));
-  result.set("retries", serve::Json(static_cast<double>(s.retries)));
-  result.set("failovers", serve::Json(static_cast<double>(s.failovers)));
-  result.set("retries_exhausted",
-             serve::Json(static_cast<double>(s.retries_exhausted)));
   serve::Json upstreams = serve::Json::array();
-  const std::vector<UpstreamSnapshot> snapshots = pool_.snapshot();
-  std::lock_guard<std::mutex> latency_lock(latency_mutex_);
-  for (std::size_t i = 0; i < snapshots.size(); ++i) {
-    const UpstreamSnapshot& u = snapshots[i];
-    serve::Json entry = serve::Json::object();
-    entry.set("address", serve::Json(u.address.label()));
-    entry.set("healthy", serve::Json(u.healthy));
-    entry.set("outstanding", serve::Json(u.outstanding));
-    entry.set("attempts", serve::Json(static_cast<double>(u.attempts)));
-    entry.set("ok", serve::Json(static_cast<double>(u.ok)));
-    entry.set("rejected", serve::Json(static_cast<double>(u.rejected)));
-    entry.set("deadline", serve::Json(static_cast<double>(u.deadline)));
-    entry.set("errors", serve::Json(static_cast<double>(u.errors)));
-    entry.set("transport", serve::Json(static_cast<double>(u.transport)));
-    entry.set("probe_failures",
-              serve::Json(static_cast<double>(u.probe_failures)));
-    entry.set("ejections", serve::Json(static_cast<double>(u.ejections)));
-    entry.set("readmissions",
-              serve::Json(static_cast<double>(u.readmissions)));
-    // Snapshot order is pool index order, so histogram i matches entry i.
-    entry.set("latency", serve::histogram_json(latency_by_upstream_[i]));
+  for (std::size_t i = 0; i < pool_.size(); ++i) {
+    const UpstreamAddress& address = pool_.address(i);
+    serve::Json entry = serve::members(snapshot, upstream_prefix(address));
+    entry.set("address", serve::Json(address.label()));
     upstreams.push_back(std::move(entry));
   }
   result.set("upstreams", std::move(upstreams));

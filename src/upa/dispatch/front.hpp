@@ -18,9 +18,10 @@
 // tried and how it failed; clients classify it as a rejection, so
 // exhausted retries surface as farm-level loss.
 //
-// One locally-served method, `dispatch_stats`, reports front counters
-// and per-upstream state over RPC; every other method (including the
-// upstreams' own `stats`) is forwarded untouched. Admission, the worker
+// One locally-served method, `dispatch_stats`, reports the front's
+// metrics snapshot (its counters and per-upstream state) over RPC;
+// every other method (including the upstreams' own `stats`) is
+// forwarded untouched. Admission, the worker
 // pool (fixed at `workers`), the keep-alive loop, subscribe and the
 // drain are the connection layer in upa/serve/net.hpp, shared with
 // upa_served.
@@ -94,27 +95,6 @@ struct FrontConfig {
   std::string telemetry_process;
 };
 
-/// Point-in-time counter snapshot (all values since start()). The
-/// forwarded_* counters classify each *request* by its final outcome --
-/// a retried-then-succeeded request counts exactly once, as ok.
-struct FrontStats {
-  std::uint64_t accepted = 0;        ///< client connections admitted
-  std::uint64_t rejected = 0;        ///< client connections 503'd (full)
-  std::uint64_t completed = 0;       ///< client connections fully handled
-  std::uint64_t requests = 0;        ///< request lines answered
-  std::uint64_t forwarded_ok = 0;
-  std::uint64_t forwarded_rejected = 0;   ///< final 503 (incl. exhausted)
-  std::uint64_t forwarded_deadline = 0;   ///< final 504
-  std::uint64_t forwarded_error = 0;      ///< final 400/404/500
-  std::uint64_t forwarded_transport = 0;  ///< final attempt died on the wire
-  std::uint64_t retries = 0;         ///< attempts beyond each first try
-  std::uint64_t failovers = 0;       ///< retries that switched replica
-  std::uint64_t retries_exhausted = 0;    ///< budgets fully spent
-  std::uint64_t stats_served = 0;    ///< dispatch_stats answered locally
-  std::size_t in_system = 0;
-  std::size_t max_in_system = 0;
-};
-
 /// One forwarded attempt, for the exhausted envelope and tests.
 struct ForwardAttempt {
   std::size_t upstream_index = 0;
@@ -153,21 +133,35 @@ class Front {
     return config_;
   }
 
-  [[nodiscard]] FrontStats stats() const;
+  /// The metrics snapshot: every dispatch.* gauge and histogram, as
+  /// fill_metrics() names them. `dispatch_stats`, `subscribe` and the
+  /// exit summary are views of it.
+  [[nodiscard]] obs::MetricsRegistry stats() const;
   [[nodiscard]] std::vector<UpstreamSnapshot> upstreams() const;
 
   /// The retry layer, exposed for tests: forwards one raw request line
   /// and returns the response plus the attempt trail. Thread-safe.
   [[nodiscard]] ForwardResult forward_line(const std::string& request_line);
 
-  /// Snapshots counters into `metrics` as dispatch.* gauges, per-upstream
-  /// dispatch.upstream.<host:port>.* gauges, and merges the per-outcome
-  /// attempt-latency histograms. Intended for a fresh registry per
-  /// snapshot.
-  void publish_metrics(obs::MetricsRegistry& metrics) const;
-
  private:
   using Clock = std::chrono::steady_clock;
+
+  /// The only code that names a dispatch.* metric. Gauges (all counts
+  /// since start()): the connection layer's accepted, rejected,
+  /// completed, in_system, max_in_system, workers, capacity and
+  /// retiring; requests (lines answered); forwarded_ok,
+  /// forwarded_rejected (incl. exhausted budgets), forwarded_deadline,
+  /// forwarded_error (400/404/500) and forwarded_transport, which
+  /// classify each request once by the answer the client got (a
+  /// retried-then-served request is ok); retries (attempts beyond each
+  /// first try), failovers (retries that switched replica),
+  /// retries_exhausted and stats_served (dispatch_stats answered
+  /// locally). Per upstream, under dispatch.upstream.<host:port>.:
+  /// healthy (1/0), outstanding, attempts, ok, rejected, deadline,
+  /// errors, transport, probe_failures, ejections, readmissions, and
+  /// the latency histogram. Histograms attempt_latency_seconds.<outcome>.
+  /// For a fresh registry: filling twice double-counts the histograms.
+  void fill_metrics(obs::MetricsRegistry& metrics) const;
 
   /// One forwarding attempt with its trace bookkeeping: the per-process
   /// span reference stamped into the attempt's trace context (the value

@@ -206,22 +206,22 @@ void LineServer::stop() {
   running_.store(false);
 }
 
-LineServerStats LineServer::stats() const {
-  LineServerStats s;
-  s.accepted = accepted_.load();
-  s.rejected = rejected_.load();
-  s.completed = completed_.load();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    s.in_system = in_system_;
-    s.workers = workers_target_;
-    s.capacity = capacity_limit_;
-    s.retiring = active_workers_ > workers_target_
-                     ? active_workers_ - workers_target_
-                     : 0;
-  }
-  s.max_in_system = max_in_system_.load();
-  return s;
+void LineServer::fill_metrics(obs::MetricsRegistry& metrics,
+                              const std::string& prefix) const {
+  const auto set = [&](const char* name, double value) {
+    metrics.gauge(prefix + name).set(value);
+  };
+  set("rejected", static_cast<double>(rejected_.load()));
+  std::lock_guard<std::mutex> lock(mutex_);
+  set("accepted", static_cast<double>(accepted_.load()));
+  set("completed", static_cast<double>(completed_.load()));
+  set("in_system", static_cast<double>(in_system_));
+  set("max_in_system", static_cast<double>(max_in_system_.load()));
+  set("workers", static_cast<double>(workers_target_));
+  set("capacity", static_cast<double>(capacity_limit_));
+  set("retiring", static_cast<double>(active_workers_ > workers_target_
+                                          ? active_workers_ - workers_target_
+                                          : 0));
 }
 
 ReconfigureResult LineServer::resize(std::size_t workers,
@@ -261,6 +261,7 @@ ReconfigureResult LineServer::resize(std::size_t workers,
     r.retiring = active_workers_ > workers_target_
                      ? active_workers_ - workers_target_
                      : 0;
+    r.in_system = in_system_;
   }
   reap_exited_workers();
   for (std::size_t w = 0; w < spawn; ++w) {
@@ -312,13 +313,13 @@ void LineServer::accept_loop() {
                !max_in_system_.compare_exchange_weak(seen, in_system_)) {
         }
         queue_.push_back(Job{fd, Clock::now()});
+        accepted_.fetch_add(1);
         admitted = true;
       } else {
         reject_line = reject_line_;
       }
     }
     if (admitted) {
-      accepted_.fetch_add(1);
       work_ready_.notify_one();
       continue;
     }
@@ -359,10 +360,8 @@ void LineServer::worker_loop() {
       queue_.pop_front();
     }
     serve_connection(job);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --in_system_;
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    --in_system_;
     completed_.fetch_add(1);
   }
 }

@@ -40,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "upa/obs/metrics.hpp"
 #include "upa/serve/telemetry.hpp"
 
 namespace upa::serve {
@@ -55,6 +56,8 @@ struct ReconfigureResult {
   /// finish their current connection (drain-aware shrink: never
   /// mid-flight).
   std::size_t retiring = 0;
+  /// Admitted connections (queued + in service) when it applied.
+  std::size_t in_system = 0;
 };
 
 namespace net {
@@ -116,18 +119,6 @@ struct LineServerOptions {
   TelemetryStreamerOptions telemetry;
 };
 
-/// Point-in-time counter snapshot (all values since construction).
-struct LineServerStats {
-  std::uint64_t accepted = 0;   ///< connections admitted into the queue
-  std::uint64_t rejected = 0;   ///< connections refused with 503 (full)
-  std::uint64_t completed = 0;  ///< admitted connections fully handled
-  std::size_t in_system = 0;      ///< current queued + in-service
-  std::size_t max_in_system = 0;  ///< high-water mark of in_system
-  std::size_t workers = 0;   ///< current worker target (i)
-  std::size_t capacity = 0;  ///< current admission bound (K)
-  std::size_t retiring = 0;  ///< workers past the target, still draining
-};
-
 class LineServer {
  public:
   /// Stores the options; the owner validates them.
@@ -151,7 +142,14 @@ class LineServer {
   /// The bound TCP port (resolved by start() for port 0).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
-  [[nodiscard]] LineServerStats stats() const;
+  /// The station's gauges, each named `prefix` + one of: accepted
+  /// (connections admitted), rejected (refused with the 503), completed
+  /// (admitted connections fully handled), in_system (queued + in
+  /// service now), max_in_system (its high-water mark), workers (the
+  /// target i), capacity (K), retiring (workers past the target, still
+  /// draining). All counts since construction.
+  void fill_metrics(obs::MetricsRegistry& metrics,
+                    const std::string& prefix) const;
 
   /// Swaps K and its 503 text atomically and retargets i; 0 keeps the
   /// current value of either. Grow spawns workers at once; shrink
@@ -206,6 +204,8 @@ class LineServer {
   std::string reject_line_;  ///< 503 envelope, rebuilt when K changes
   std::vector<std::thread::id> exited_worker_ids_;  ///< retired, joinable
 
+  // accepted_ and completed_ change only under mutex_, together with
+  // in_system_, so fill_metrics() reads the three consistently.
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> completed_{0};

@@ -54,7 +54,7 @@ Server::Server(ServerConfig config)
         };
         o.telemetry.process = config_.telemetry_process;
         o.telemetry.fill_metrics = [this](obs::MetricsRegistry& metrics) {
-          publish_metrics(metrics);
+          fill_metrics(metrics);
         };
         o.telemetry.obs = config_.obs;
         o.telemetry.obs_mutex = &latency_mutex_;
@@ -68,35 +68,9 @@ Server::Server(ServerConfig config)
   UPA_REQUIRE(config_.read_timeout_seconds > 0.0,
               "ServerConfig.read_timeout_seconds must be > 0");
   dispatcher_.register_method("stats", [this](const Json&) {
-    const ServerStats s = stats();
-    Json out = Json::object();
-    out.set("workers", Json(s.workers));
-    out.set("capacity", Json(s.capacity));
-    out.set("accepted", Json(static_cast<double>(s.accepted)));
-    out.set("rejected", Json(static_cast<double>(s.rejected)));
-    out.set("completed", Json(static_cast<double>(s.completed)));
-    out.set("requests", Json(static_cast<double>(s.requests)));
-    out.set("deadline_missed", Json(static_cast<double>(s.deadline_missed)));
-    out.set("protocol_errors", Json(static_cast<double>(s.protocol_errors)));
-    out.set("in_system", Json(s.in_system));
-    out.set("max_in_system", Json(s.max_in_system));
-    out.set("retiring", Json(s.retiring));
-    out.set("reconfigures", Json(static_cast<double>(s.reconfigures)));
-    out.set("busy_seconds", Json(s.busy_seconds));
-    out.set("handled_requests",
-            Json(static_cast<double>(s.handled_requests)));
-    Json method_latency = Json::object();
-    {
-      std::lock_guard<std::mutex> lock(latency_mutex_);
-      for (const auto& [name, histogram] : latency_by_method_) {
-        if (histogram.count() == 0) continue;
-        Json m = histogram_json(histogram);
-        m.set("mean", Json(histogram.sum() /
-                           static_cast<double>(histogram.count())));
-        method_latency.set(name, std::move(m));
-      }
-    }
-    out.set("method_latency", std::move(method_latency));
+    const obs::MetricsRegistry snapshot = stats();
+    Json out = members(snapshot, "serve.");
+    out.set("method_latency", members(snapshot, "serve.method_latency."));
     return out;
   });
   dispatcher_.register_method("reconfigure", [this](const Json& params) {
@@ -111,7 +85,7 @@ Server::Server(ServerConfig config)
     out.set("previous_workers", Json(r.previous_workers));
     out.set("previous_capacity", Json(r.previous_capacity));
     out.set("retiring", Json(r.retiring));
-    out.set("in_system", Json(net_.stats().in_system));
+    out.set("in_system", Json(r.in_system));
     return out;
   });
   // One handler-latency histogram per registered method, plus a catch-
@@ -131,27 +105,10 @@ void Server::start() { net_.start(); }
 
 void Server::stop() { net_.stop(); }
 
-ServerStats Server::stats() const {
-  const net::LineServerStats n = net_.stats();
-  ServerStats s;
-  s.accepted = n.accepted;
-  s.rejected = n.rejected;
-  s.completed = n.completed;
-  s.requests = requests_.load();
-  s.deadline_missed = deadline_missed_.load();
-  s.protocol_errors = protocol_errors_.load();
-  s.in_system = n.in_system;
-  s.max_in_system = n.max_in_system;
-  s.workers = n.workers;
-  s.capacity = n.capacity;
-  s.retiring = n.retiring;
-  s.reconfigures = reconfigures_.load();
-  {
-    std::lock_guard<std::mutex> lock(latency_mutex_);
-    s.busy_seconds = busy_seconds_;
-    s.handled_requests = handled_requests_;
-  }
-  return s;
+obs::MetricsRegistry Server::stats() const {
+  obs::MetricsRegistry snapshot;
+  fill_metrics(snapshot);
+  return snapshot;
 }
 
 ReconfigureResult Server::reconfigure(std::size_t workers,
@@ -161,36 +118,26 @@ ReconfigureResult Server::reconfigure(std::size_t workers,
   return r;
 }
 
-void Server::publish_metrics(obs::MetricsRegistry& metrics) const {
-  const ServerStats s = stats();
-  metrics.gauge("serve.accepted").set(static_cast<double>(s.accepted));
-  metrics.gauge("serve.rejected").set(static_cast<double>(s.rejected));
-  metrics.gauge("serve.completed").set(static_cast<double>(s.completed));
-  metrics.gauge("serve.requests").set(static_cast<double>(s.requests));
+void Server::fill_metrics(obs::MetricsRegistry& metrics) const {
+  net_.fill_metrics(metrics, "serve.");
+  metrics.gauge("serve.requests").set(static_cast<double>(requests_.load()));
   metrics.gauge("serve.deadline_missed")
-      .set(static_cast<double>(s.deadline_missed));
+      .set(static_cast<double>(deadline_missed_.load()));
   metrics.gauge("serve.protocol_errors")
-      .set(static_cast<double>(s.protocol_errors));
-  metrics.gauge("serve.queue_depth").set(static_cast<double>(s.in_system));
-  metrics.gauge("serve.queue_depth_max")
-      .set(static_cast<double>(s.max_in_system));
-  metrics.gauge("serve.workers").set(static_cast<double>(s.workers));
-  metrics.gauge("serve.capacity").set(static_cast<double>(s.capacity));
-  metrics.gauge("serve.retiring").set(static_cast<double>(s.retiring));
+      .set(static_cast<double>(protocol_errors_.load()));
   metrics.gauge("serve.reconfigures")
-      .set(static_cast<double>(s.reconfigures));
-  metrics.gauge("serve.busy_seconds").set(s.busy_seconds);
-  metrics.gauge("serve.handled_requests")
-      .set(static_cast<double>(s.handled_requests));
+      .set(static_cast<double>(reconfigures_.load()));
   std::lock_guard<std::mutex> lock(latency_mutex_);
+  metrics.gauge("serve.busy_seconds").set(busy_seconds_);
+  metrics.gauge("serve.handled_requests")
+      .set(static_cast<double>(handled_requests_));
   metrics
       .histogram("serve.request_latency_seconds", latency_.upper_bounds())
       .merge_from(latency_);
   for (const auto& [name, histogram] : latency_by_method_) {
     if (histogram.count() == 0) continue;
     metrics
-        .histogram("serve.method_latency_seconds." + name,
-                   histogram.upper_bounds())
+        .histogram("serve.method_latency." + name, histogram.upper_bounds())
         .merge_from(histogram);
   }
 }
@@ -325,9 +272,11 @@ void Server::observe_request(const RequestObservation& o) {
   }
   by_method->second.record(o.latency_seconds);
   obs::Observer* ob = config_.obs;
-  if (ob == nullptr) return;
-  ob->metrics.counter("serve.requests").add(1);
-  ob->metrics.counter("serve.code." + std::to_string(o.code)).add(1);
+  if (ob == nullptr || !config_.trace || !o.sampled) return;
+  // The span, its linkage and session-mining attrs, and its
+  // retrospective phase children land under this one latency_mutex_
+  // hold, so a telemetry subscriber's span cursor never splits the
+  // batch.
   const double end = ob->tracer.wall_now();
   const double start = end - o.latency_seconds;
   const obs::SpanId id =
@@ -335,36 +284,30 @@ void Server::observe_request(const RequestObservation& o) {
                        obs::TimeDomain::kWallSeconds);
   ob->tracer.attr(id, "code", static_cast<double>(o.code));
   ob->tracer.attr(id, "queue_wait_seconds", o.queue_wait_seconds);
-  if (config_.trace && o.sampled) {
-    // Cross-process linkage + session-mining attrs, then retrospective
-    // phase children. The whole batch lands under one latency_mutex_
-    // hold, so a telemetry subscriber's span cursor never splits it.
-    if (o.has_trace) {
-      ob->tracer.attr(id, "trace_id", o.trace_id);
-      ob->tracer.attr(id, "parent_span",
-                      static_cast<double>(o.parent_span));
-    }
-    ob->tracer.attr(id, "conn", static_cast<double>(o.conn));
-    ob->tracer.attr(id, "seq", static_cast<double>(o.seq));
-    const auto clamp = [&o](double offset) {
-      if (offset < 0.0) return 0.0;
-      return offset > o.latency_seconds ? o.latency_seconds : offset;
-    };
-    const auto phase = [&](const char* name, double begin_offset,
-                           double end_offset) {
-      const double b = clamp(begin_offset);
-      const double e = clamp(end_offset) < b ? b : clamp(end_offset);
-      const obs::SpanId child =
-          ob->tracer.begin(obs::SpanLevel::kServePhase, name, start + b,
-                           obs::TimeDomain::kWallSeconds, id);
-      ob->tracer.end(child, start + e);
-    };
-    phase(o.first_request ? "admission_wait" : "queue_wait", 0.0,
-          o.queue_wait_seconds);
-    if (o.has_handler) phase("handler", o.handler_begin, o.handler_end);
-    if (o.has_serialize) {
-      phase("serialize", o.serialize_begin, o.serialize_end);
-    }
+  if (o.has_trace) {
+    ob->tracer.attr(id, "trace_id", o.trace_id);
+    ob->tracer.attr(id, "parent_span", static_cast<double>(o.parent_span));
+  }
+  ob->tracer.attr(id, "conn", static_cast<double>(o.conn));
+  ob->tracer.attr(id, "seq", static_cast<double>(o.seq));
+  const auto clamp = [&o](double offset) {
+    if (offset < 0.0) return 0.0;
+    return offset > o.latency_seconds ? o.latency_seconds : offset;
+  };
+  const auto phase = [&](const char* name, double begin_offset,
+                         double end_offset) {
+    const double b = clamp(begin_offset);
+    const double e = clamp(end_offset) < b ? b : clamp(end_offset);
+    const obs::SpanId child =
+        ob->tracer.begin(obs::SpanLevel::kServePhase, name, start + b,
+                         obs::TimeDomain::kWallSeconds, id);
+    ob->tracer.end(child, start + e);
+  };
+  phase(o.first_request ? "admission_wait" : "queue_wait", 0.0,
+        o.queue_wait_seconds);
+  if (o.has_handler) phase("handler", o.handler_begin, o.handler_end);
+  if (o.has_serialize) {
+    phase("serialize", o.serialize_begin, o.serialize_end);
   }
   ob->tracer.end(id, end);
 }

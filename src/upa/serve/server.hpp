@@ -7,11 +7,11 @@
 // itself (admission with a non-blocking 503, the worker pool, the
 // keep-alive loop and the drain) is the connection layer in
 // upa/serve/net.hpp, shared with upa_dispatch; this class adds the
-// per-request part: deadlines, dispatch, spans and the server-bound
-// `stats`/`reconfigure` methods. The measured rejection fraction under
-// an open-loop Poisson load is directly comparable to
-// `queueing::mmck_loss_probability` -- the dogfood check run by
-// `upa_loadgen` and pinned in tests/test_serve.cpp.
+// per-request part: deadlines, dispatch, spans, the metrics snapshot
+// and the server-bound `stats`/`reconfigure` methods. The measured
+// rejection fraction under an open-loop Poisson load is directly
+// comparable to `queueing::mmck_loss_probability` -- the dogfood check
+// run by `upa_loadgen` and pinned in tests/test_serve.cpp.
 //
 // Both knobs are runtime-elastic: reconfigure() (also exposed as the
 // `reconfigure` RPC, the actuator of the upa_ctl control loop) retargets
@@ -70,42 +70,21 @@ struct ServerConfig {
   /// than this for the next request line, nor for a stalled client to
   /// drain a response, before closing the connection.
   double read_timeout_seconds = 10.0;
-  /// Optional observability sink (non-owning). Records one wall-domain
-  /// `serve_request` span per request (attrs: method, code, queue-wait)
-  /// plus serve.* counters. The observer is mutex-guarded inside the
-  /// server (Tracer/MetricsRegistry are single-threaded by design).
+  /// Optional span sink (non-owning), recorded into only with `trace`
+  /// and streamed to `subscribe` connections. The observer is
+  /// mutex-guarded inside the server (Tracer is single-threaded by
+  /// design).
   obs::Observer* obs = nullptr;
   /// Distributed tracing mode (needs `obs`). Per sampled request the
-  /// single serve_request span grows trace-linkage attrs (trace_id,
-  /// parent_span, conn, seq) plus serve_phase child spans
-  /// (admission_wait / queue_wait, handler, serialize). Off by default:
-  /// the hot path stays the legacy single-span recording and responses
-  /// are byte-identical to a trace-enabled server's.
+  /// server records one wall-domain serve_request span (attrs: code,
+  /// queue_wait_seconds, the trace linkage trace_id / parent_span, and
+  /// conn / seq) plus serve_phase child spans (admission_wait /
+  /// queue_wait, handler, serialize). Off by default: an untraced
+  /// server records no spans at all, and its responses are
+  /// byte-identical to a traced server's.
   bool trace = false;
   /// Label stamped on telemetry lines; empty = "upa_served:<port>".
   std::string telemetry_process;
-};
-
-/// Point-in-time counter snapshot (all values since start()).
-struct ServerStats {
-  std::uint64_t accepted = 0;    ///< connections admitted into the queue
-  std::uint64_t rejected = 0;    ///< connections refused with 503 (full)
-  std::uint64_t completed = 0;   ///< admitted connections fully handled
-  std::uint64_t requests = 0;    ///< request lines answered (any code)
-  std::uint64_t deadline_missed = 0;  ///< requests answered with 504
-  std::uint64_t protocol_errors = 0;  ///< unparseable request lines
-  std::size_t in_system = 0;       ///< current queued + in-service
-  std::size_t max_in_system = 0;   ///< high-water mark of in_system
-  std::size_t workers = 0;     ///< current worker target (the model's i)
-  std::size_t capacity = 0;    ///< current admission bound (the model's K)
-  std::size_t retiring = 0;    ///< workers past the target, still draining
-  std::uint64_t reconfigures = 0;  ///< applied reconfigure() calls
-  /// Wall seconds workers spent inside request handlers, summed over
-  /// `handled_requests` -- handled / busy_seconds estimates the
-  /// per-server service rate nu without the queue-wait bias of the
-  /// end-to-end latency histogram (a controller's nu-hat input).
-  double busy_seconds = 0.0;
-  std::uint64_t handled_requests = 0;
 };
 
 class Server {
@@ -136,7 +115,10 @@ class Server {
     return config_;
   }
 
-  [[nodiscard]] ServerStats stats() const;
+  /// The metrics snapshot: every serve.* gauge and histogram, as
+  /// fill_metrics() names them. `stats`, `subscribe` and the exit
+  /// summary are views of it.
+  [[nodiscard]] obs::MetricsRegistry stats() const;
 
   /// Online elastic resize -- the `reconfigure` RPC verb. Atomically
   /// swaps the admission bound (K) and retargets the worker pool (i);
@@ -150,14 +132,21 @@ class Server {
   /// server is draining, or before start().
   ReconfigureResult reconfigure(std::size_t workers, std::size_t capacity);
 
-  /// Snapshots the counters into `metrics` as serve.* gauges and merges
-  /// the request-latency histogram (serve.request_latency_seconds).
-  /// Intended for a fresh registry per snapshot -- merging twice
-  /// double-counts the histogram.
-  void publish_metrics(obs::MetricsRegistry& metrics) const;
-
  private:
   using Clock = net::Clock;
+
+  /// The only code that names a serve.* metric. Gauges (all counts
+  /// since start()): the connection layer's accepted, rejected,
+  /// completed, in_system, max_in_system, workers (i), capacity (K) and
+  /// retiring; requests (lines answered, any code), deadline_missed
+  /// (504s), protocol_errors (unparseable lines), reconfigures (applied
+  /// resizes), busy_seconds (handler wall time) and handled_requests
+  /// (requests that ran a handler; handled / busy_seconds is the
+  /// service-rate estimate nu-hat, free of queue-wait bias).
+  /// Histograms: request_latency_seconds, and method_latency.<method>
+  /// for each method that has served a request. For a fresh registry:
+  /// filling twice double-counts the histograms.
+  void fill_metrics(obs::MetricsRegistry& metrics) const;
 
   /// Everything observe_request() needs about one finished request.
   /// Phase stamps are offsets from the request anchor, in seconds.

@@ -27,6 +27,19 @@ Json span_attrs_json(const obs::Span& span) {
   return attrs;
 }
 
+template <class Instruments, class Render>
+void add_members(Json& out, const Instruments& instruments,
+                 const std::string& prefix, Render render) {
+  for (auto it = instruments.lower_bound(prefix);
+       it != instruments.end() &&
+       it->first.compare(0, prefix.size(), prefix) == 0;
+       ++it) {
+    const std::string member = it->first.substr(prefix.size());
+    if (member.empty() || member.find('.') != std::string::npos) continue;
+    out.set(member, render(it->second));
+  }
+}
+
 }  // namespace
 
 Json histogram_json(const obs::Histogram& histogram) {
@@ -41,7 +54,19 @@ Json histogram_json(const obs::Histogram& histogram) {
     counts.push_back(Json(static_cast<double>(c)));
   }
   h.set("counts", std::move(counts));
+  h.set("mean", Json(histogram.count() == 0
+                         ? 0.0
+                         : histogram.sum() /
+                               static_cast<double>(histogram.count())));
   return h;
+}
+
+Json members(const obs::MetricsRegistry& metrics, const std::string& prefix) {
+  Json out = Json::object();
+  add_members(out, metrics.gauges(), prefix,
+              [](const obs::Gauge& gauge) { return Json(gauge.value()); });
+  add_members(out, metrics.histograms(), prefix, histogram_json);
+  return out;
 }
 
 TelemetryStreamer::TelemetryStreamer(TelemetryStreamerOptions options)

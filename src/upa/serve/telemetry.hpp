@@ -7,7 +7,8 @@
 //   {"telemetry":"metrics","process":"upa_served:7077","seq":3,
 //    "dropped_spans":0,"counters":{...},"gauges":{...},
 //    "histograms":{"serve.request_latency_seconds":
-//                  {"count":12,"sum":0.9,"bounds":[...],"counts":[...]}}}
+//                  {"count":12,"sum":0.9,"bounds":[...],"counts":[...],
+//                   "mean":0.075}}}
 //
 // followed by one line per span completed since the previous tick:
 //
@@ -36,10 +37,18 @@
 
 namespace upa::serve {
 
-/// {"count":N,"sum":S,"bounds":[...],"counts":[...]} for one
-/// le-bucket histogram (counts has the trailing overflow bucket).
-/// Shared by the telemetry stream, `stats`, and `dispatch_stats`.
+/// {"count":N,"sum":S,"bounds":[...],"counts":[...],"mean":M} for one
+/// le-bucket histogram (counts has the trailing overflow bucket; mean is
+/// 0 while empty). Shared by the telemetry stream, `stats`, and
+/// `dispatch_stats`.
 [[nodiscard]] Json histogram_json(const obs::Histogram& histogram);
+
+/// One object member per gauge and histogram named `prefix` + a member
+/// name with no further dot: the gauge's value, or histogram_json.
+/// Gauges come first, each group in name order. `stats` and
+/// `dispatch_stats` are this rendering of their daemon's snapshot.
+[[nodiscard]] Json members(const obs::MetricsRegistry& metrics,
+                           const std::string& prefix);
 
 struct TelemetryStreamerOptions {
   /// Label stamped on every emitted line and on the subscribe ack

@@ -22,9 +22,8 @@ namespace upa::ta {
 /// (Home=0 .. Pay=4). Categories are derived from each scenario's
 /// visited set via category_of, so partial tables (mined mixes missing
 /// rare classes) evaluate to the availability of the mass they cover;
-/// callers wanting a probability should normalize the set first. With
-/// scenario_table(uc) this reproduces user_availability_eq10(uc, p)
-/// bit for bit.
+/// callers wanting a probability should normalize the set first.
+/// user_availability_eq10(uc, p) is this over scenario_table(uc).
 [[nodiscard]] double user_availability_eq10_scenarios(
     const profile::ScenarioSet& scenarios, const TaParameters& p);
 

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -295,20 +296,29 @@ ServerConfig loopback_config(std::size_t workers, std::size_t capacity) {
   return config;
 }
 
+/// One serve.* gauge of the server's snapshot.
+double served(const Server& server, const std::string& name) {
+  return server.stats().gauges().at("serve." + name).value();
+}
+
 /// Polls until the server settles at `workers` live workers (retiring
 /// drains asynchronously) or the deadline passes.
 void wait_for_workers(Server& server, std::size_t workers,
                       double timeout_seconds = 5.0) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(timeout_seconds);
-  while (std::chrono::steady_clock::now() < deadline) {
+  const auto settled = [&] {
     const auto stats = server.stats();
-    if (stats.workers == workers && stats.retiring == 0) return;
+    return stats.gauges().at("serve.workers").value() ==
+               static_cast<double>(workers) &&
+           stats.gauges().at("serve.retiring").value() == 0.0;
+  };
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (settled()) return;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.workers, workers);
-  EXPECT_EQ(stats.retiring, 0u);
+  EXPECT_EQ(served(server, "workers"), static_cast<double>(workers));
+  EXPECT_EQ(served(server, "retiring"), 0.0);
 }
 
 TEST(Reconfigure, ShrinkBelowInflightDrainsWithoutKillingRequests) {
@@ -428,7 +438,7 @@ TEST(Reconfigure, CapacityBelowOccupancyGatesAdmissionOnly) {
   for (auto& t : holders) t.join();
   EXPECT_EQ(completed.load(), 4);
   server.stop();
-  EXPECT_EQ(server.stats().deadline_missed, 0u);
+  EXPECT_EQ(served(server, "deadline_missed"), 0.0);
 }
 
 TEST(Reconfigure, RpcValidatesAndReportsThePreviousConfig) {
@@ -447,8 +457,8 @@ TEST(Reconfigure, RpcValidatesAndReportsThePreviousConfig) {
   bad.set("workers", Json(4.0));
   bad.set("capacity", Json(2.0));
   EXPECT_FALSE(client.call("reconfigure", std::move(bad)).ok());
-  EXPECT_EQ(server.stats().workers, 2u);
-  EXPECT_EQ(server.stats().capacity, 4u);
+  EXPECT_EQ(served(server, "workers"), 2.0);
+  EXPECT_EQ(served(server, "capacity"), 4.0);
 
   Json grow = Json::object();
   grow.set("workers", Json(3.0));
@@ -461,9 +471,8 @@ TEST(Reconfigure, RpcValidatesAndReportsThePreviousConfig) {
   EXPECT_EQ(result->find("previous_workers")->as_number(), 2.0);
   EXPECT_EQ(result->find("previous_capacity")->as_number(), 4.0);
 
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.workers, 3u);
-  EXPECT_EQ(stats.reconfigures, 1u);
+  EXPECT_EQ(served(server, "workers"), 3.0);
+  EXPECT_EQ(served(server, "reconfigures"), 1.0);
   client.close();
   server.stop();
 }
@@ -492,8 +501,8 @@ TEST(Reconfigure, ConcurrentReconfiguresSerialize) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(applied.load(), kThreads * kCallsPerThread);
-  EXPECT_EQ(server.stats().reconfigures,
-            static_cast<std::uint64_t>(kThreads * kCallsPerThread));
+  EXPECT_EQ(served(server, "reconfigures"),
+            static_cast<double>(kThreads * kCallsPerThread));
 
   // Settle to a known target; the pool must land exactly there.
   (void)server.reconfigure(2, 16);
@@ -550,9 +559,8 @@ TEST(Reconfigure, FlipFlopUnderContinuousLoadLosesNothing) {
   EXPECT_GT(ok.load(), 0);
   EXPECT_EQ(failed.load(), 0);
   server.stop();
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.completed, stats.accepted);
-  EXPECT_EQ(stats.reconfigures, 12u);
+  EXPECT_EQ(served(server, "completed"), served(server, "accepted"));
+  EXPECT_EQ(served(server, "reconfigures"), 12.0);
 }
 
 TEST(Reconfigure, RejectedWhileStoppedOrStopping) {
@@ -564,9 +572,8 @@ TEST(Reconfigure, RejectedWhileStoppedOrStopping) {
   EXPECT_THROW((void)server.reconfigure(1, 2), upa::common::ModelError);
   // A restart resumes at the last configured targets, not the ctor's.
   server.start();
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.workers, 2u);
-  EXPECT_EQ(stats.capacity, 4u);
+  EXPECT_EQ(served(server, "workers"), 2.0);
+  EXPECT_EQ(served(server, "capacity"), 4.0);
   server.stop();
 }
 

@@ -71,6 +71,11 @@ ServerConfig live_server_config(std::size_t workers = 2,
   return config;
 }
 
+/// One dispatch.* gauge of the front's snapshot.
+double front_gauge(const Front& front, const std::string& name) {
+  return front.stats().gauges().at("dispatch." + name).value();
+}
+
 /// Health thresholds so large the initial sweep never changes a verdict:
 /// these tests pin the retry layer, not the checker.
 upa::dispatch::HealthConfig inert_health() {
@@ -358,11 +363,61 @@ TEST(DispatchFront, DispatchStatsIsServedLocally) {
   EXPECT_EQ(upstreams->as_array().size(), 1u);
   client.close();
 
-  EXPECT_EQ(front.stats().stats_served, 1u);
+  EXPECT_EQ(front_gauge(front, "stats_served"), 1.0);
   // The upstream never saw the locally-served method.
   EXPECT_EQ(front.upstreams()[0].attempts, 1u);
   front.stop();
   server.stop();
+}
+
+TEST(DispatchFront, DispatchStatsKeepsTheMembersTheBenchmarkReads) {
+  // perfbench/run.py derives its dispatch.* per-layer metrics from these
+  // `dispatch_stats` members; a rename would silently break it.
+  const std::uint16_t dead_port = claim_dead_port();
+  Server live(live_server_config());
+  live.start();
+  FrontConfig config;
+  config.upstreams = {{"127.0.0.1", dead_port},
+                      {"127.0.0.1", live.port()}};
+  config.policy = BalancePolicy::kRoundRobin;
+  config.workers = 2;
+  config.retry.backoff_initial_seconds = 0.001;
+  config.retry.backoff_max_seconds = 0.002;
+  config.health = inert_health();
+  Front front(std::move(config));
+  front.start();
+
+  constexpr std::size_t kPings = 4;
+  upa::serve::Client client;
+  client.connect("127.0.0.1", front.port());
+  for (std::size_t i = 0; i < kPings; ++i) {
+    ASSERT_TRUE(client.call("ping", upa::serve::Json(), i).ok());
+  }
+  const upa::serve::CallResult stats =
+      client.call("dispatch_stats", upa::serve::Json());
+  ASSERT_TRUE(stats.ok());
+  client.close();
+  front.stop();
+  live.stop();
+
+  const upa::serve::Json& result = *stats.result();
+  // The pings plus the dispatch_stats call itself.
+  EXPECT_DOUBLE_EQ(result.find("requests")->as_number(), kPings + 1.0);
+  const double retries = result.find("retries")->as_number();
+  EXPECT_GE(retries, 1.0);
+  EXPECT_DOUBLE_EQ(result.find("failovers")->as_number(), retries);
+  const auto& upstreams = result.find("upstreams")->as_array();
+  ASSERT_EQ(upstreams.size(), 2u);
+  EXPECT_DOUBLE_EQ(upstreams[0].find("attempts")->as_number(), retries);
+  EXPECT_DOUBLE_EQ(upstreams[1].find("attempts")->as_number(),
+                   static_cast<double>(kPings));
+  for (const upa::serve::Json& u : upstreams) {
+    const upa::serve::Json* latency = u.find("latency");
+    ASSERT_NE(latency, nullptr);
+    EXPECT_DOUBLE_EQ(latency->find("count")->as_number(),
+                     u.find("attempts")->as_number());
+    EXPECT_GT(latency->find("sum")->as_number(), 0.0);
+  }
 }
 
 TEST(DispatchFront, FailsOverToLiveReplicaAndCountsRequestOnceAsOk) {
@@ -396,17 +451,20 @@ TEST(DispatchFront, FailsOverToLiveReplicaAndCountsRequestOnceAsOk) {
 
   // Outcome taxonomy: a retried-then-succeeded request is ok, exactly
   // once -- never double-counted, never surfaced as a transport error.
-  const upa::dispatch::FrontStats stats = front.stats();
-  EXPECT_EQ(stats.requests, kRequests);
-  EXPECT_EQ(stats.forwarded_ok, kRequests);
-  EXPECT_EQ(stats.forwarded_transport, 0u);
-  EXPECT_EQ(stats.forwarded_rejected, 0u);
-  EXPECT_GE(stats.retries, 1u);
-  EXPECT_EQ(stats.retries, stats.failovers);  // every retry switched
-  EXPECT_EQ(stats.retries_exhausted, 0u);
+  const double requests = static_cast<double>(kRequests);
+  EXPECT_EQ(front_gauge(front, "requests"), requests);
+  EXPECT_EQ(front_gauge(front, "forwarded_ok"), requests);
+  EXPECT_EQ(front_gauge(front, "forwarded_transport"), 0.0);
+  EXPECT_EQ(front_gauge(front, "forwarded_rejected"), 0.0);
+  const double retries = front_gauge(front, "retries");
+  EXPECT_GE(retries, 1.0);
+  // Every retry switched replica.
+  EXPECT_EQ(front_gauge(front, "failovers"), retries);
+  EXPECT_EQ(front_gauge(front, "retries_exhausted"), 0.0);
 
   const auto upstreams = front.upstreams();
-  EXPECT_EQ(upstreams[0].transport, stats.retries);  // all on the corpse
+  // All on the corpse.
+  EXPECT_EQ(static_cast<double>(upstreams[0].transport), retries);
   EXPECT_EQ(upstreams[1].ok, kRequests);
   front.stop();
   live.stop();
@@ -446,7 +504,7 @@ TEST(DispatchFront, ExhaustedBudgetYieldsRetriesExhaustedEnvelope) {
   ASSERT_EQ(attempts->as_array().size(), 3u);
   EXPECT_EQ(attempts->as_array()[0].find("outcome")->as_string(),
             "transport_error");
-  EXPECT_EQ(front.stats().retries_exhausted, 1u);
+  EXPECT_EQ(front_gauge(front, "retries_exhausted"), 1.0);
 
   // Through a real connection the same exhaustion classifies as a
   // rejection -- never as a client-visible transport error.
@@ -457,9 +515,9 @@ TEST(DispatchFront, ExhaustedBudgetYieldsRetriesExhaustedEnvelope) {
   EXPECT_EQ(via_wire.outcome, CallOutcome::kRejected);
   EXPECT_EQ(via_wire.code, 503);
   client.close();
-  EXPECT_EQ(front.stats().retries_exhausted, 2u);
-  EXPECT_EQ(front.stats().forwarded_rejected, 1u);
-  EXPECT_EQ(front.stats().forwarded_transport, 0u);
+  EXPECT_EQ(front_gauge(front, "retries_exhausted"), 2.0);
+  EXPECT_EQ(front_gauge(front, "forwarded_rejected"), 1.0);
+  EXPECT_EQ(front_gauge(front, "forwarded_transport"), 0.0);
   front.stop();
 }
 
@@ -478,8 +536,7 @@ TEST(DispatchFront, PublishesPerUpstreamMetrics) {
   ASSERT_TRUE(client.call("ping", upa::serve::Json()).ok());
   client.close();
 
-  upa::obs::MetricsRegistry metrics;
-  front.publish_metrics(metrics);
+  const upa::obs::MetricsRegistry metrics = front.stats();
   const std::string prefix =
       "dispatch.upstream.127.0.0.1:" + std::to_string(server.port());
   EXPECT_DOUBLE_EQ(metrics.gauges().at(prefix + ".attempts").value(), 1.0);
@@ -797,8 +854,8 @@ TEST(FarmFailover, KillNineMidRunStaysWithinCompositePrediction) {
   EXPECT_EQ(r.loss.transport_errors, 0u);
   EXPECT_EQ(r.loss.sent, config.requests);
   // The front did real failover work while replica 0 was down.
-  EXPECT_GE(r.front.retries, 1u);
-  EXPECT_EQ(r.front.forwarded_transport, 0u);
+  EXPECT_GE(r.front.gauges().at("dispatch.retries").value(), 1.0);
+  EXPECT_EQ(r.front.gauges().at("dispatch.forwarded_transport").value(), 0.0);
 
   // The measured farm-level rejection+failure fraction sits within
   // 4 sigma (+ scheduling allowance) of the imperfect-coverage

@@ -405,6 +405,11 @@ ServerConfig loopback_config(std::size_t workers, std::size_t capacity) {
   return config;
 }
 
+double gauge(const upa::obs::MetricsRegistry& snapshot,
+             const std::string& name) {
+  return snapshot.gauges().at(name).value();
+}
+
 TEST(ServeServer, RejectsInvalidConfig) {
   ServerConfig bad = loopback_config(0, 4);
   EXPECT_THROW(Server{bad}, upa::common::ModelError);
@@ -428,10 +433,10 @@ TEST(ServeServer, StartServeStop) {
   server.stop();
   EXPECT_FALSE(server.running());
   const auto stats = server.stats();
-  EXPECT_EQ(stats.accepted, 1u);
-  EXPECT_EQ(stats.completed, 1u);
-  EXPECT_EQ(stats.requests, 1u);
-  EXPECT_EQ(stats.in_system, 0u);
+  EXPECT_EQ(gauge(stats, "serve.accepted"), 1.0);
+  EXPECT_EQ(gauge(stats, "serve.completed"), 1.0);
+  EXPECT_EQ(gauge(stats, "serve.requests"), 1.0);
+  EXPECT_EQ(gauge(stats, "serve.in_system"), 0.0);
 
   // stop() is idempotent; post-stop connects are refused by the OS.
   server.stop();
@@ -465,8 +470,9 @@ TEST(ServeServer, KeepAliveConnectionServesManyRequests) {
   }
   client.close();
   server.stop();
-  EXPECT_EQ(server.stats().requests, 20u);
-  EXPECT_EQ(server.stats().accepted, 1u);  // one admission, many requests
+  EXPECT_EQ(gauge(server.stats(), "serve.requests"), 20.0);
+  // One admission, many requests.
+  EXPECT_EQ(gauge(server.stats(), "serve.accepted"), 1.0);
 }
 
 TEST(ServeServer, AdmissionControlRejectsWhenFull) {
@@ -500,9 +506,9 @@ TEST(ServeServer, AdmissionControlRejectsWhenFull) {
   holder.join();
   server.stop();
   const auto stats = server.stats();
-  EXPECT_EQ(stats.accepted, 1u);
-  EXPECT_EQ(stats.rejected, 1u);
-  EXPECT_EQ(stats.max_in_system, 1u);
+  EXPECT_EQ(gauge(stats, "serve.accepted"), 1.0);
+  EXPECT_EQ(gauge(stats, "serve.rejected"), 1.0);
+  EXPECT_EQ(gauge(stats, "serve.max_in_system"), 1.0);
 
   // After the rejection, an admitted connection still works: the 503
   // path never wedges the acceptor.
@@ -529,7 +535,7 @@ TEST(ServeServer, ServerDeadlineReturns504) {
   EXPECT_EQ(r.code, ErrorCode::kDeadlineExceeded);
 
   server.stop();
-  EXPECT_EQ(server.stats().deadline_missed, 1u);
+  EXPECT_EQ(gauge(server.stats(), "serve.deadline_missed"), 1.0);
 }
 
 TEST(ServeServer, RequestDeadlineTightensButNeverExtends) {
@@ -582,7 +588,7 @@ TEST(ServeServer, KeepAliveRequestsGetFreshDeadlineBudgets) {
   }
   client.close();
   server.stop();
-  EXPECT_EQ(server.stats().deadline_missed, 0u);
+  EXPECT_EQ(gauge(server.stats(), "serve.deadline_missed"), 0.0);
 }
 
 TEST(ServeServer, StatsMethodAndObserverMetrics) {
@@ -604,16 +610,73 @@ TEST(ServeServer, StatsMethodAndObserverMetrics) {
   client.close();
   server.stop();
 
-  // The observer saw one serve_request span per request plus counters.
-  EXPECT_GE(observer.tracer.spans().size(), 2u);
-  EXPECT_GE(observer.metrics.counter("serve.requests").value(), 2.0);
-  EXPECT_GE(observer.metrics.counter("serve.code.200").value(), 2.0);
+  // The C++ snapshot carries the same counters as serve.* gauges.
+  const upa::obs::MetricsRegistry snapshot = server.stats();
+  EXPECT_DOUBLE_EQ(gauge(snapshot, "serve.requests"), 2.0);
+  EXPECT_DOUBLE_EQ(gauge(snapshot, "serve.accepted"), 1.0);
+}
 
-  // publish_metrics exports the counter snapshot as gauges.
-  upa::obs::MetricsRegistry registry;
-  server.publish_metrics(registry);
-  EXPECT_DOUBLE_EQ(registry.gauge("serve.requests").value(), 2.0);
-  EXPECT_DOUBLE_EQ(registry.gauge("serve.accepted").value(), 1.0);
+TEST(ServeServer, StatsKeepsTheMembersTheBenchmarkReads) {
+  // perfbench/run.py derives its serve.* per-layer metrics from these
+  // `stats` members; a rename would silently break it.
+  Server server(loopback_config(2, 8));
+  server.start();
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  for (std::uint64_t id = 0; id < 3; ++id) {
+    ASSERT_TRUE(client.call("ping", Json(), id).ok());
+  }
+  const CallResult stats_call = client.call("stats", Json());
+  ASSERT_TRUE(stats_call.ok());
+  client.close();
+  server.stop();
+
+  const Json& result = *stats_call.result();
+  ASSERT_NE(result.find("busy_seconds"), nullptr);
+  EXPECT_GT(result.find("busy_seconds")->as_number(), 0.0);
+  ASSERT_NE(result.find("handled_requests"), nullptr);
+  EXPECT_DOUBLE_EQ(result.find("handled_requests")->as_number(), 3.0);
+  ASSERT_NE(result.find("rejected"), nullptr);
+  EXPECT_DOUBLE_EQ(result.find("rejected")->as_number(), 0.0);
+  ASSERT_NE(result.find("max_in_system"), nullptr);
+  EXPECT_DOUBLE_EQ(result.find("max_in_system")->as_number(), 1.0);
+  const Json* ping = result.find("method_latency")->find("ping");
+  ASSERT_NE(ping, nullptr);
+  EXPECT_DOUBLE_EQ(ping->find("count")->as_number(), 3.0);
+  EXPECT_DOUBLE_EQ(ping->find("mean")->as_number(),
+                   ping->find("sum")->as_number() / 3.0);
+}
+
+TEST(ServeServer, UntracedServerRecordsNoSpans) {
+  // upa_served always attaches an observer. Without --trace nothing
+  // consumes per-request spans, so none may pile up in it, and a
+  // subscriber's ticks are metrics lines only.
+  upa::obs::Observer observer;
+  ServerConfig config = loopback_config(2, 8);
+  config.obs = &observer;
+  Server server(std::move(config));
+  server.start();
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  for (std::uint64_t id = 0; id < 200; ++id) {
+    ASSERT_TRUE(client.call("ping", Json(), id).ok());
+  }
+  client.close();
+
+  Client subscriber;
+  subscriber.connect("127.0.0.1", server.port(), 5.0, 10.0);
+  subscriber.send_line(
+      R"({"id": 1, "method": "subscribe", "params": {"interval_ms": 50}})");
+  ASSERT_TRUE(parse_json(subscriber.read_line()).find("ok")->as_bool());
+  // Tick 0 is one metrics line: the next line is already tick 1.
+  for (const double seq : {0.0, 1.0}) {
+    const Json line = parse_json(subscriber.read_line());
+    ASSERT_EQ(line.find("telemetry")->as_string(), "metrics");
+    EXPECT_DOUBLE_EQ(line.find("seq")->as_number(), seq);
+  }
+  subscriber.close();
+  server.stop();
+  EXPECT_EQ(observer.tracer.spans().size(), 0u);
 }
 
 TEST(ServeServer, SessionReplayCompletesAgainstGenerousCapacity) {
@@ -898,10 +961,12 @@ TEST(LoadgenLossMeasurement, MatchesAnalyticMmckLoss) {
 
   // The server's own books agree with the client's.
   const auto stats = server.stats();
-  EXPECT_EQ(stats.accepted + stats.rejected,
-            static_cast<std::uint64_t>(kRequests));
-  EXPECT_EQ(stats.rejected, static_cast<std::uint64_t>(result.rejected));
-  EXPECT_LE(stats.max_in_system, kCapacity);
+  EXPECT_EQ(gauge(stats, "serve.accepted") + gauge(stats, "serve.rejected"),
+            static_cast<double>(kRequests));
+  EXPECT_EQ(gauge(stats, "serve.rejected"),
+            static_cast<double>(result.rejected));
+  EXPECT_LE(gauge(stats, "serve.max_in_system"),
+            static_cast<double>(kCapacity));
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 // artifacts). Binary paths are injected by CMake as UPA_CLI_BINARY,
 // UPA_SERVED_BINARY, UPA_LOADGEN_BINARY, and UPA_DISPATCH_BINARY. The
 // daemons' other half of the contract: a SIGTERM drains and exits 0,
-// even one that lands the moment the listener is up.
+// even one that lands the moment the listener is up, and prints an exit
+// summary rendered from the daemon's metrics snapshot.
 
 #include <gtest/gtest.h>
 
@@ -326,6 +327,16 @@ void expect_sigterm_drains(const std::string& binary,
   }
 }
 
+/// One ok ping, then SIGTERM: the drained daemon's exit and output.
+RunResult drain_after_one_ping(const std::string& binary,
+                               const std::vector<std::string>& extra) {
+  std::uint16_t port = 0;
+  Daemon daemon = spawn_serving(binary, extra, port);
+  if (daemon.pid <= 0) return {};
+  ::kill(daemon.pid, SIGTERM);
+  return finish_daemon(daemon);
+}
+
 TEST(ToolsCli, ServedDrainsOnSigtermRightAfterStart) {
   expect_sigterm_drains(UPA_SERVED_BINARY, {});
 }
@@ -339,6 +350,35 @@ TEST(ToolsCli, DispatchDrainsOnSigtermRightAfterStart) {
       {"--upstreams", "127.0.0.1:" + std::to_string(upstream_port)});
   ::kill(upstream.pid, SIGTERM);
   EXPECT_EQ(finish_daemon(upstream).exit_code, 0);
+}
+
+// The exit summaries render the daemons' metrics snapshots.
+
+TEST(ToolsCli, ServedExitSummaryCountsTheOnePing) {
+  const RunResult r = drain_after_one_ping(UPA_SERVED_BINARY, {});
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("upa_served: done. accepted=1 rejected=0 "
+                          "completed=1 requests=1 deadline_missed=0 "
+                          "protocol_errors=0 max_in_system=1\n"),
+            std::string::npos)
+      << r.output;
+}
+
+TEST(ToolsCli, DispatchExitSummaryCountsTheOnePing) {
+  std::uint16_t upstream_port = 0;
+  Daemon upstream = spawn_serving(UPA_SERVED_BINARY, {}, upstream_port);
+  ASSERT_GT(upstream.pid, 0);
+  const RunResult r = drain_after_one_ping(
+      UPA_DISPATCH_BINARY,
+      {"--upstreams", "127.0.0.1:" + std::to_string(upstream_port)});
+  ::kill(upstream.pid, SIGTERM);
+  EXPECT_EQ(finish_daemon(upstream).exit_code, 0);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("upa_dispatch: done. requests=1 ok=1 rejected=0 "
+                          "deadline=0 error=0 transport=0 retries=0 "
+                          "failovers=0 exhausted=0\n"),
+            std::string::npos)
+      << r.output;
 }
 
 }  // namespace

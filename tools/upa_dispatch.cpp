@@ -9,9 +9,11 @@
 
 #include <csignal>
 #include <chrono>
+#include <cstdint>
 #include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "upa/cli/args.hpp"
@@ -172,16 +174,21 @@ int main(int argc, char** argv) {
     std::cout << "upa_dispatch: draining..." << std::endl;
     front.stop();
 
-    const dispatch::FrontStats stats = front.stats();
-    std::cout << "upa_dispatch: done. requests=" << stats.requests
-              << " ok=" << stats.forwarded_ok
-              << " rejected=" << stats.forwarded_rejected
-              << " deadline=" << stats.forwarded_deadline
-              << " error=" << stats.forwarded_error
-              << " transport=" << stats.forwarded_transport
-              << " retries=" << stats.retries
-              << " failovers=" << stats.failovers
-              << " exhausted=" << stats.retries_exhausted << std::endl;
+    const obs::MetricsRegistry stats = front.stats();
+    std::cout << "upa_dispatch: done.";
+    for (const auto& [label, name] :
+         {std::pair{"requests", "requests"}, {"ok", "forwarded_ok"},
+          {"rejected", "forwarded_rejected"},
+          {"deadline", "forwarded_deadline"}, {"error", "forwarded_error"},
+          {"transport", "forwarded_transport"}, {"retries", "retries"},
+          {"failovers", "failovers"}, {"exhausted", "retries_exhausted"}}) {
+      std::cout << " " << label << "="
+                << static_cast<std::uint64_t>(
+                       stats.gauges()
+                           .at(std::string("dispatch.") + name)
+                           .value());
+    }
+    std::cout << std::endl;
     for (const dispatch::UpstreamSnapshot& u : front.upstreams()) {
       std::cout << "upstream " << u.address.label()
                 << (u.healthy ? " [healthy]" : " [ejected]")

@@ -397,6 +397,9 @@ int run_farm(const upa::cli::Args& args) {
 
   const upa::dispatch::FarmExperimentResult r =
       upa::dispatch::run_farm_experiment(config);
+  const auto front_count = [&r](const char* name) {
+    return r.front.gauges().at(name).value();
+  };
   print_loss(r.loss);
   if (!trace_csv.empty()) write_loss_trace_csv(trace_csv, r.loss.request_log);
   if (config.trace) {
@@ -431,9 +434,10 @@ int run_farm(const upa::cli::Args& args) {
             << " lambda_f=" << r.failure_rate << " mu=" << r.repair_rate
             << " coverage=" << r.coverage
             << " beta=" << r.reconfiguration_rate << "\n"
-            << "front: retries=" << r.front.retries
-            << " failovers=" << r.front.failovers
-            << " exhausted=" << r.front.retries_exhausted << "\n";
+            << "front: retries=" << front_count("dispatch.retries")
+            << " failovers=" << front_count("dispatch.failovers")
+            << " exhausted=" << front_count("dispatch.retries_exhausted")
+            << "\n";
   for (const upa::dispatch::UpstreamSnapshot& u : r.upstreams) {
     std::cout << "upstream " << u.address.label()
               << ": healthy=" << (u.healthy ? 1 : 0)
@@ -477,10 +481,10 @@ int run_farm(const upa::cli::Args& args) {
        {"within_tolerance", r.within_tolerance ? 1.0 : 0.0},
        {"client_transport_errors",
         static_cast<double>(r.loss.transport_errors)},
-       {"front_retries", static_cast<double>(r.front.retries)},
-       {"front_failovers", static_cast<double>(r.front.failovers)},
+       {"front_retries", front_count("dispatch.retries")},
+       {"front_failovers", front_count("dispatch.failovers")},
        {"front_retries_exhausted",
-        static_cast<double>(r.front.retries_exhausted)},
+        front_count("dispatch.retries_exhausted")},
        {"wall_seconds", r.loss.wall_seconds},
        {"warm_transfer", config.warm_transfer ? 1.0 : 0.0},
        {"warm_peer", static_cast<double>(r.warm_peer)},

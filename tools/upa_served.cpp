@@ -8,6 +8,7 @@
 
 #include <csignal>
 #include <chrono>
+#include <cstdint>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -206,14 +207,16 @@ int main(int argc, char** argv) {
     }
     server.stop();
 
-    const serve::ServerStats stats = server.stats();
-    std::cout << "upa_served: done. accepted=" << stats.accepted
-              << " rejected=" << stats.rejected
-              << " completed=" << stats.completed
-              << " requests=" << stats.requests
-              << " deadline_missed=" << stats.deadline_missed
-              << " protocol_errors=" << stats.protocol_errors
-              << " max_in_system=" << stats.max_in_system << std::endl;
+    const obs::MetricsRegistry stats = server.stats();
+    std::cout << "upa_served: done.";
+    for (const char* name : {"accepted", "rejected", "completed", "requests",
+                             "deadline_missed", "protocol_errors",
+                             "max_in_system"}) {
+      std::cout << " " << name << "="
+                << static_cast<std::uint64_t>(
+                       stats.gauges().at(std::string("serve.") + name).value());
+    }
+    std::cout << std::endl;
 
     const cache::CacheStats cs = cache::global().stats();
     if (cs.lookups() > 0) {
