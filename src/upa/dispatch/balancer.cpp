@@ -45,19 +45,24 @@ std::uint64_t fnv1a64(const std::string& text) {
 }
 
 std::string affinity_key(const std::string& request_line) {
+  serve::Json request;
   try {
-    const serve::Json request = serve::parse_json(request_line);
-    const serve::Json* method = request.find("method");
-    if (method == nullptr || !method->is_string()) return request_line;
-    std::string key = method->as_string();
-    if (const serve::Json* params = request.find("params");
-        params != nullptr) {
-      key += "|" + params->dump();
-    }
-    return key;
+    request = serve::parse_json(request_line);
   } catch (const std::exception&) {
-    return request_line;  // malformed lines still balance deterministically
+    // request stays null: malformed lines still balance deterministically
   }
+  return affinity_key(request, request_line);
+}
+
+std::string affinity_key(const serve::Json& request,
+                         const std::string& request_line) {
+  const serve::Json* method = request.find("method");
+  if (method == nullptr || !method->is_string()) return request_line;
+  std::string key = method->as_string();
+  if (const serve::Json* params = request.find("params"); params != nullptr) {
+    key += "|" + params->dump();
+  }
+  return key;
 }
 
 Balancer::Balancer(const UpstreamPool& pool, BalancePolicy policy,
@@ -105,7 +110,8 @@ std::vector<std::size_t> Balancer::ring_walk(const std::string& key) const {
   return order;
 }
 
-std::vector<std::size_t> Balancer::pick(const std::string& key) {
+std::vector<std::size_t> Balancer::pick(const std::string& key,
+                                        std::optional<std::size_t> held) {
   std::vector<bool> healthy;
   std::vector<std::size_t> outstanding;
   pool_.balancing_view(healthy, outstanding);
@@ -129,10 +135,16 @@ std::vector<std::size_t> Balancer::pick(const std::string& key) {
       for (std::size_t i = 0; i < n; ++i) {
         order.push_back((cursor + i) % n);
       }
-      // Stable sort keeps the rotated tie-break under equal load.
+      // Under equal load the held upstream goes first (reusing its
+      // connection beats a fresh connect), then the stable sort keeps
+      // the rotated order.
+      const std::size_t reuse = held.value_or(n);
       std::stable_sort(order.begin(), order.end(),
-                       [&outstanding](std::size_t a, std::size_t b) {
-                         return outstanding[a] < outstanding[b];
+                       [&outstanding, reuse](std::size_t a, std::size_t b) {
+                         if (outstanding[a] != outstanding[b]) {
+                           return outstanding[a] < outstanding[b];
+                         }
+                         return a == reuse && b != reuse;
                        });
       break;
     }

@@ -5,8 +5,10 @@
 //
 //   round-robin        equal spread; ignores request identity.
 //   least-outstanding  sends to the replica with the fewest forwarded
-//                      calls in flight (ties broken round-robin) --
-//                      tracks the per-replica M/M/i/K occupancy.
+//                      calls in flight -- tracks the per-replica M/M/i/K
+//                      occupancy. A tie goes to the replica the client
+//                      connection already holds an upstream connection
+//                      to, then round-robin.
 //   consistent-hash    hashes the request's cache key (method + params)
 //                      onto a virtual-node ring so repeated evaluations
 //                      of the same model land on the same replica and
@@ -18,10 +20,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "upa/dispatch/upstream.hpp"
+#include "upa/serve/json.hpp"
 
 namespace upa::dispatch {
 
@@ -42,6 +46,11 @@ enum class BalancePolicy { kRoundRobin, kLeastOutstanding, kConsistentHash };
 /// requests balance deterministically.
 [[nodiscard]] std::string affinity_key(const std::string& request_line);
 
+/// The same key from the line's parsed tree (null when the line did not
+/// parse), for callers that already parsed it.
+[[nodiscard]] std::string affinity_key(const serve::Json& request,
+                                       const std::string& request_line);
+
 /// Thread-safe picker. Construction builds the consistent-hash ring
 /// (virtual nodes per upstream); the pool reference must outlive the
 /// balancer.
@@ -56,8 +65,12 @@ class Balancer {
   /// upstreams always precede unhealthy ones (fail open: when nothing
   /// is healthy the unhealthy tail is still tried). Consistent-hash
   /// preference is the ring walk from the key's position; the other
-  /// policies order by their own criterion.
-  [[nodiscard]] std::vector<std::size_t> pick(const std::string& key);
+  /// policies order by their own criterion. `held` names the upstream
+  /// the caller holds a connection to: under least-outstanding it wins
+  /// ties on the outstanding count; the other policies ignore it.
+  [[nodiscard]] std::vector<std::size_t> pick(
+      const std::string& key,
+      std::optional<std::size_t> held = std::nullopt);
 
  private:
   struct RingEntry {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <random>
 #include <utility>
@@ -33,6 +34,18 @@ double seconds_between(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<double>(to - from).count();
 }
 
+/// The parsed tree of a request line; null when it does not parse.
+serve::Json parse_request(const std::string& line) {
+  try {
+    return serve::parse_json(line);
+  } catch (const std::exception&) {
+    // Unparseable lines are forwarded anyway: the upstream produces the
+    // canonical 400 envelope, keeping responses byte-identical to a
+    // direct connection.
+    return serve::Json();
+  }
+}
+
 /// Names one upstream's metrics: "dispatch.upstream.<host:port>.".
 std::string upstream_prefix(const UpstreamAddress& address) {
   return "dispatch.upstream." + address.label() + ".";
@@ -59,7 +72,7 @@ Front::Front(FrontConfig config)
                  std::to_string(max_clients) + ")";
         };
         o.handler = [this](const std::string& line,
-                           const serve::net::Request& request) {
+                           serve::net::Request& request) {
           return respond_line(line, request);
         };
         // A subscriber to the front never counts against the upstreams'
@@ -186,23 +199,41 @@ void Front::fill_metrics(obs::MetricsRegistry& metrics) const {
 
 ForwardAttempt Front::attempt_once(std::size_t index,
                                    const std::string& line,
+                                   HeldUpstream& held,
                                    std::string& response_out) {
   const UpstreamAddress& address = pool_.address(index);
   pool_.begin_call(index);
   const Clock::time_point begin = Clock::now();
   ForwardAttempt attempt;
   attempt.upstream_index = index;
+  const bool reuse = held.client.connected() && held.index == index;
   try {
-    serve::Client client;
-    client.connect(address.host, address.port,
-                   config_.upstream_connect_timeout_seconds,
-                   config_.upstream_call_timeout_seconds);
-    response_out = client.call_line(line);
+    std::optional<std::string> response;
+    if (reuse) response = held.client.try_call_line(line);
+    if (!response) {
+      // No held connection to this upstream, or a stale one: the client
+      // connection gives up what it holds before connecting, so it
+      // never holds two.
+      held.client.close();
+      held.client.connect(address.host, address.port,
+                          config_.upstream_connect_timeout_seconds,
+                          config_.upstream_call_timeout_seconds);
+      held.index = index;
+      response = held.client.call_line(line);
+    }
+    response_out = std::move(*response);
     attempt.outcome =
         from_call_outcome(serve::classify_response(response_out).outcome);
   } catch (const std::exception&) {
     attempt.outcome = AttemptOutcome::kTransport;
     response_out.clear();
+  }
+  // Only a definitive answer keeps the connection: after a 503 or 504
+  // the replica is shedding load or draining, and after a transport
+  // failure the connection's state is unknown.
+  if (attempt.outcome != AttemptOutcome::kOk &&
+      attempt.outcome != AttemptOutcome::kError) {
+    held.client.close();
   }
   const double latency = seconds_between(begin, Clock::now());
   pool_.end_call(index, attempt.outcome, latency);
@@ -230,15 +261,12 @@ void Front::backoff_sleep(std::size_t retry_number) {
 }
 
 std::string Front::exhausted_envelope(
-    const std::string& request_line,
+    const serve::Json& request,
     const std::vector<ForwardAttempt>& attempts) const {
+  // id stays null for an unparseable line, like the upstreams' own
+  // envelopes for one.
   serve::Json id;
-  try {
-    const serve::Json request = serve::parse_json(request_line);
-    if (const serve::Json* i = request.find("id"); i != nullptr) id = *i;
-  } catch (const std::exception&) {
-    // id stays null, like the upstreams' own unparseable-line envelopes
-  }
+  if (const serve::Json* i = request.find("id"); i != nullptr) id = *i;
   serve::Json trail = serve::Json::array();
   for (const ForwardAttempt& a : attempts) {
     serve::Json entry = serve::Json::object();
@@ -259,10 +287,14 @@ std::string Front::exhausted_envelope(
 }
 
 ForwardResult Front::forward_line(const std::string& request_line) {
-  return forward_line_traced(request_line, 0, 0);
+  HeldUpstream held;
+  return forward_line_traced(request_line, parse_request(request_line),
+                             held, 0, 0);
 }
 
 ForwardResult Front::forward_line_traced(const std::string& request_line,
+                                         const serve::Json& request,
+                                         HeldUpstream& held,
                                          std::uint64_t conn,
                                          std::uint64_t seq) {
   const Clock::time_point request_begin = Clock::now();
@@ -275,42 +307,37 @@ ForwardResult Front::forward_line_traced(const std::string& request_line,
   bool record = false;
   std::string method = "?";
   serve::TraceContext context;
-  serve::Json parsed;
-  if (config_.trace && config_.obs != nullptr) {
-    bool have_parsed = false;
-    try {
-      parsed = serve::parse_json(request_line);
-      have_parsed = parsed.is_object();
-    } catch (const std::exception&) {
-      have_parsed = false;
+  if (config_.trace && config_.obs != nullptr && request.is_object()) {
+    if (const serve::Json* m = request.find("method");
+        m != nullptr && m->is_string()) {
+      method = m->as_string();
     }
-    if (have_parsed) {
-      if (const serve::Json* m = parsed.find("method");
-          m != nullptr && m->is_string()) {
-        method = m->as_string();
+    try {
+      if (const std::optional<serve::TraceContext> incoming =
+              serve::parse_trace_context(request)) {
+        context = *incoming;  // forward the client's trace decision
+        record = context.sampled;
+      } else {
+        context.trace_id = serve::make_trace_id(
+            trace_origin_base_ + origin_serial_.fetch_add(1) + 1);
+        context.span_id = 0;
+        context.sampled = true;
+        record = true;
       }
-      try {
-        if (const std::optional<serve::TraceContext> incoming =
-                serve::parse_trace_context(parsed)) {
-          context = *incoming;  // forward the client's trace decision
-          record = context.sampled;
-        } else {
-          context.trace_id = serve::make_trace_id(
-              trace_origin_base_ + origin_serial_.fetch_add(1) + 1);
-          context.span_id = 0;
-          context.sampled = true;
-          record = true;
-        }
-      } catch (const common::ModelError&) {
-        record = false;
-      }
+    } catch (const common::ModelError&) {
+      record = false;
     }
   }
 
   ForwardResult out;
   std::vector<TracedAttempt> traced;
-  const std::vector<std::size_t> order =
-      balancer_.pick(affinity_key(request_line));
+  // Only consistent-hash reads the affinity key.
+  const std::vector<std::size_t> order = balancer_.pick(
+      balancer_.policy() == BalancePolicy::kConsistentHash
+          ? affinity_key(request, request_line)
+          : std::string(),
+      held.client.connected() ? std::optional<std::size_t>(held.index)
+                              : std::nullopt);
   const std::size_t budget = config_.retry.max_attempts;
 
   bool answered = false;
@@ -336,13 +363,13 @@ ForwardResult Front::forward_line_traced(const std::string& request_line,
       // that lands on another replica stays distinguishable.
       span.ref = span_ref_.fetch_add(1);
       attempt_line = serve::with_trace_context(
-          parsed,
+          request,
           serve::TraceContext{context.trace_id, span.ref, true});
     }
     std::string response;
     span.begin = Clock::now();
-    const ForwardAttempt attempt = attempt_once(index, attempt_line,
-                                                response);
+    const ForwardAttempt attempt =
+        attempt_once(index, attempt_line, held, response);
     span.end = Clock::now();
     span.outcome = attempt.outcome;
     out.attempts.push_back(attempt);
@@ -360,7 +387,7 @@ ForwardResult Front::forward_line_traced(const std::string& request_line,
   if (!answered) {
     out.exhausted = true;
     out.final_outcome = out.attempts.back().outcome;
-    out.response_line = exhausted_envelope(request_line, out.attempts);
+    out.response_line = exhausted_envelope(request, out.attempts);
     retries_exhausted_.fetch_add(1);
   }
   if (record) {
@@ -418,14 +445,10 @@ void Front::record_request_trace(const std::string& method,
   ob->tracer.end(root, wall_now);
 }
 
-std::string Front::dispatch_stats_line(const std::string& line) {
+std::string Front::dispatch_stats_line(const serve::Json& request) {
   stats_served_.fetch_add(1);
   serve::Json id;
-  try {
-    const serve::Json request = serve::parse_json(line);
-    if (const serve::Json* i = request.find("id"); i != nullptr) id = *i;
-  } catch (const std::exception&) {
-  }
+  if (const serve::Json* i = request.find("id"); i != nullptr) id = *i;
   const obs::MetricsRegistry snapshot = stats();
   serve::Json result = serve::members(snapshot, "dispatch.");
   result.set("policy", serve::Json(balance_policy_name(config_.policy)));
@@ -442,25 +465,18 @@ std::string Front::dispatch_stats_line(const std::string& line) {
 }
 
 std::string Front::respond_line(const std::string& line,
-                                const serve::net::Request& request) {
+                                serve::net::Request& request) {
   requests_.fetch_add(1);
-  bool is_dispatch_stats = false;
-  try {
-    const serve::Json request = serve::parse_json(line);
-    if (const serve::Json* m = request.find("method");
-        m != nullptr && m->is_string() &&
-        m->as_string() == "dispatch_stats") {
-      is_dispatch_stats = true;
-    }
-  } catch (const std::exception&) {
-    // Unparseable lines are forwarded anyway: the upstream produces the
-    // canonical 400 envelope, keeping responses byte-identical to a
-    // direct connection.
+  const serve::Json parsed = parse_request(line);
+  if (const serve::Json* m = parsed.find("method");
+      m != nullptr && m->is_string() && m->as_string() == "dispatch_stats") {
+    return dispatch_stats_line(parsed);
   }
-  if (is_dispatch_stats) return dispatch_stats_line(line);
 
-  const ForwardResult fr =
-      forward_line_traced(line, request.conn, request.seq);
+  if (!request.state) request.state = std::make_unique<HeldUpstream>();
+  const ForwardResult fr = forward_line_traced(
+      line, parsed, static_cast<HeldUpstream&>(*request.state), request.conn,
+      request.seq);
   // Counters classify the response the client actually got: a spent
   // budget surfaces as the 503 retries_exhausted envelope, so it counts
   // as a rejection regardless of how the last attempt died.

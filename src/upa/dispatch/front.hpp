@@ -18,6 +18,19 @@
 // tried and how it failed; clients classify it as a rejection, so
 // exhausted retries surface as farm-level loss.
 //
+// Upstream connections: each client connection holds at most one
+// upstream connection, kept in its net::Request state and closed when
+// the client connection closes (or turns into a subscribe stream). An
+// attempt whose upstream is the held one reuses it; any other attempt
+// closes it first and connects afresh. A 503, a 504 or a transport
+// failure drops it. So a replica sees exactly the customers it would
+// see from direct clients: the client's connection, relayed. A reused
+// connection that proves dead before the first response byte (the
+// replica's read timeout or drain closed it while idle) is replaced
+// once, within the same attempt, by a fresh connection to the same
+// upstream -- every RPC method is a pure evaluation, so re-sending is
+// safe -- and that counts as neither a retry nor a transport failure.
+//
 // One locally-served method, `dispatch_stats`, reports the front's
 // metrics snapshot (its counters and per-upstream state) over RPC;
 // every other method (including the upstreams' own `stats`) is
@@ -39,6 +52,7 @@
 #include "upa/dispatch/upstream.hpp"
 #include "upa/obs/metrics.hpp"
 #include "upa/obs/observer.hpp"
+#include "upa/serve/client.hpp"
 #include "upa/serve/net.hpp"
 #include "upa/serve/protocol.hpp"
 #include "upa/sim/rng.hpp"
@@ -63,7 +77,8 @@ struct FrontConfig {
   std::vector<UpstreamAddress> upstreams;
   BalancePolicy policy = BalancePolicy::kLeastOutstanding;
   /// Front worker threads; each forwards one client connection at a
-  /// time, so this bounds concurrent forwarded calls.
+  /// time, so this bounds concurrent forwarded calls and held upstream
+  /// connections.
   std::size_t workers = 16;
   /// Admitted client connections (queued + in service); on overflow the
   /// acceptor answers 503 without reading. Sized so the front itself
@@ -75,9 +90,9 @@ struct FrontConfig {
   /// Per-attempt upstream connect timeout. Small: a dead replica must
   /// fail fast so the retry layer can move on.
   double upstream_connect_timeout_seconds = 1.0;
-  /// Per-attempt upstream receive timeout (waiting for the response
-  /// line). Bounded so a replica killed mid-response is a fast retry,
-  /// not a 30 s stall.
+  /// Per-attempt upstream send and receive timeout (waiting for the
+  /// response line). Bounded so a replica killed mid-response is a fast
+  /// retry, not a 30 s stall.
   double upstream_call_timeout_seconds = 10.0;
   HealthConfig health;
   RetryConfig retry;
@@ -140,11 +155,20 @@ class Front {
   [[nodiscard]] std::vector<UpstreamSnapshot> upstreams() const;
 
   /// The retry layer, exposed for tests: forwards one raw request line
-  /// and returns the response plus the attempt trail. Thread-safe.
+  /// over upstream connections of its own, closed on return, and
+  /// returns the response plus the attempt trail. Thread-safe.
   [[nodiscard]] ForwardResult forward_line(const std::string& request_line);
 
  private:
   using Clock = std::chrono::steady_clock;
+
+  /// The upstream connection one client connection holds (its
+  /// net::Request state); `index` names the upstream while `client` is
+  /// connected.
+  struct HeldUpstream : serve::net::ConnectionState {
+    std::size_t index = 0;
+    serve::Client client;
+  };
 
   /// The only code that names a dispatch.* metric. Gauges (all counts
   /// since start()): the connection layer's accepted, rejected,
@@ -175,23 +199,27 @@ class Front {
     Clock::time_point end;
   };
 
-  /// The connection layer's per-line handler: serves dispatch_stats
-  /// locally, forwards everything else, and bumps the final-outcome
-  /// counters (exactly once per request).
+  /// The connection layer's per-line handler: parses the line once,
+  /// serves dispatch_stats locally, forwards everything else over the
+  /// connection's held upstream, and bumps the final-outcome counters
+  /// (exactly once per request).
   [[nodiscard]] std::string respond_line(const std::string& line,
-                                         const serve::net::Request& request);
-  [[nodiscard]] std::string dispatch_stats_line(const std::string& line);
+                                         serve::net::Request& request);
+  [[nodiscard]] std::string dispatch_stats_line(const serve::Json& request);
+  /// `request` is the line's parsed tree (null when it did not parse).
   [[nodiscard]] ForwardResult forward_line_traced(
-      const std::string& request_line, std::uint64_t conn,
-      std::uint64_t seq);
-  /// One attempt against one upstream; records pool counters and the
+      const std::string& request_line, const serve::Json& request,
+      HeldUpstream& held, std::uint64_t conn, std::uint64_t seq);
+  /// One attempt against one upstream over `held` (reused, replaced or
+  /// dropped as the file comment says); records pool counters and the
   /// per-outcome and per-upstream latency histograms.
   [[nodiscard]] ForwardAttempt attempt_once(std::size_t index,
                                             const std::string& line,
+                                            HeldUpstream& held,
                                             std::string& response_out);
   void backoff_sleep(std::size_t retry_number);
   [[nodiscard]] std::string exhausted_envelope(
-      const std::string& request_line,
+      const serve::Json& request,
       const std::vector<ForwardAttempt>& attempts) const;
   /// Records the dispatch_request root + per-attempt child spans as one
   /// complete batch under latency_mutex_ (see serve::Server for why).

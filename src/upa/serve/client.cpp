@@ -99,14 +99,11 @@ void Client::connect(const std::string& host, std::uint16_t port,
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 
-  // A stuck server must not hang the client forever -- but the bound is
-  // the caller's, not a hardcoded 30 s floor that silently swallowed
-  // shorter deadline experiments.
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(call_timeout_seconds);
-  tv.tv_usec = static_cast<suseconds_t>(
-      (call_timeout_seconds - static_cast<double>(tv.tv_sec)) * 1e6);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  // A stuck server must not hang the client forever, in either
+  // direction: a peer that stops reading would otherwise block a send
+  // for good. The bound is the caller's, not a hardcoded 30 s floor
+  // that silently swallowed shorter deadline experiments.
+  net::set_io_timeouts(fd, call_timeout_seconds);
 
   fd_ = fd;
   buffer_.clear();
@@ -128,17 +125,26 @@ void Client::send_line(const std::string& line) {
   }
 }
 
-std::string Client::read_line() {
-  UPA_REQUIRE(fd_ >= 0, "Client is not connected");
-  std::string line;
-  switch (net::read_line(fd_, buffer_, line, std::string::npos)) {
-    case net::LineRead::kLine: return line;
-    case net::LineRead::kClosed:
-      throw common::ModelError("connection closed before a response line");
-    case net::LineRead::kFailed: break;
+namespace {
+
+/// The ModelError for a read_line that got no line (errno still set).
+[[noreturn]] void throw_read_failure(net::LineRead got) {
+  if (got == net::LineRead::kClosed) {
+    throw common::ModelError("connection closed before a response line");
   }
   throw common::ModelError("recv failed: " +
                            std::string(std::strerror(errno)));
+}
+
+}  // namespace
+
+std::string Client::read_line() {
+  UPA_REQUIRE(fd_ >= 0, "Client is not connected");
+  std::string line;
+  const net::LineRead got =
+      net::read_line(fd_, buffer_, line, std::string::npos);
+  if (got != net::LineRead::kLine) throw_read_failure(got);
+  return line;
 }
 
 void Client::shutdown_both() {
@@ -148,6 +154,22 @@ void Client::shutdown_both() {
 std::string Client::call_line(const std::string& request_line) {
   send_line(request_line);
   return read_line();
+}
+
+std::optional<std::string> Client::try_call_line(
+    const std::string& request_line) {
+  UPA_REQUIRE(fd_ >= 0, "Client is not connected");
+  if (!net::send_all(fd_, request_line + "\n")) return std::nullopt;
+  const std::size_t buffered = buffer_.size();
+  std::string line;
+  const net::LineRead got =
+      net::read_line(fd_, buffer_, line, std::string::npos);
+  if (got == net::LineRead::kLine) return line;
+  if (buffer_.size() == buffered &&
+      (got == net::LineRead::kClosed || errno == ECONNRESET)) {
+    return std::nullopt;
+  }
+  throw_read_failure(got);
 }
 
 CallResult Client::call(const std::string& method, Json params,

@@ -6,6 +6,7 @@
 // side.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "upa/serve/json.hpp"
@@ -56,9 +57,9 @@ class Client {
 
   /// Connects with a timeout (seconds). Throws ModelError on failure
   /// (connection refused, timeout, bad address). `call_timeout_seconds`
-  /// bounds each subsequent receive while waiting for a response line;
-  /// 0 inherits `timeout_seconds`, so a client is never stuck longer
-  /// waiting for a response than it was willing to wait for a connect
+  /// bounds each subsequent send and each receive while waiting for a
+  /// response line; 0 inherits `timeout_seconds`, so a client is never
+  /// stuck longer on a call than it was willing to wait for a connect
   /// unless it asks to be.
   void connect(const std::string& host, std::uint16_t port,
                double timeout_seconds = 5.0,
@@ -71,6 +72,15 @@ class Client {
   /// ModelError on transport failure; the returned string has the
   /// trailing newline stripped.
   [[nodiscard]] std::string call_line(const std::string& request_line);
+
+  /// call_line on a kept-alive connection that may have died while
+  /// idle (the peer's read timeout or drain closed it). Returns nullopt
+  /// when the connection proves dead before any response byte arrives:
+  /// the send fails, or EOF or a reset comes first. The request can then
+  /// be re-sent on a fresh connection. A timeout or a failure after
+  /// part of the response still throws ModelError.
+  [[nodiscard]] std::optional<std::string> try_call_line(
+      const std::string& request_line);
 
   /// Builds {"id": id, "method": method, "params": params}, sends it,
   /// and classifies the response. Transport failures are folded into

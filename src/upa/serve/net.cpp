@@ -394,8 +394,9 @@ void LineServer::serve_connection(const Job& job) {
     if (line.empty()) continue;
     switch (telemetry_->subscribe(job.fd, line)) {
       case TelemetryStreamer::Subscribe::kStreaming:
-        // The streamer owns the fd now; returning releases the worker
-        // and the K slot (a long-lived subscriber holds neither).
+        // The streamer owns the fd now; returning releases the worker,
+        // the K slot and the request's state (a long-lived subscriber
+        // holds none of them).
         return;
       case TelemetryStreamer::Subscribe::kRefused:
         request.first = false;

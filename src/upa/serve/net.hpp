@@ -87,6 +87,14 @@ enum class LineRead { kLine, kClosed, kFailed };
 [[nodiscard]] LineRead read_line(int fd, std::string& buffer,
                                  std::string& line, std::size_t max_bytes);
 
+/// Base of the state an owner keeps per connection (Request::state).
+struct ConnectionState {
+  ConnectionState() = default;
+  ConnectionState(const ConnectionState&) = delete;
+  ConnectionState& operator=(const ConnectionState&) = delete;
+  virtual ~ConnectionState() = default;
+};
+
 /// What the per-line handler learns about the line it answers.
 struct Request {
   std::uint64_t conn = 0;  ///< connection serial, from 1
@@ -95,11 +103,16 @@ struct Request {
   /// anchors at `admitted` instead of at the line read.
   bool first = true;
   Clock::time_point admitted;  ///< when the acceptor admitted it
+  /// The owner's per-connection state: empty until the handler fills
+  /// it, destroyed when the connection closes or turns into a
+  /// `subscribe` stream.
+  std::unique_ptr<ConnectionState> state;
 };
 
-/// One request line -> one response line (no trailing newline).
+/// One request line -> one response line (no trailing newline). The
+/// same Request comes back for every line of one connection.
 using LineHandler =
-    std::function<std::string(const std::string& line, const Request&)>;
+    std::function<std::string(const std::string& line, Request&)>;
 
 struct LineServerOptions {
   /// Owner class name for error messages: "<owner>::start called

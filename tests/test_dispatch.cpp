@@ -13,9 +13,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <chrono>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "upa/common/error.hpp"
@@ -195,6 +198,43 @@ TEST(DispatchBalancer, LeastOutstandingPrefersIdleReplica) {
   EXPECT_EQ(order[0], 2u);  // idle
   EXPECT_EQ(order[1], 1u);  // one outstanding
   EXPECT_EQ(order[2], 0u);  // two outstanding
+}
+
+TEST(DispatchBalancer, LeastOutstandingTieGoesToTheHeldUpstream) {
+  UpstreamPool pool({{"h", 1}, {"h", 2}, {"h", 3}});
+  Balancer plain(pool, BalancePolicy::kLeastOutstanding);
+  Balancer balancer(pool, BalancePolicy::kLeastOutstanding);
+  for (int i = 0; i < 3; ++i) {
+    // All tied at zero: the held upstream first, then the rotated order
+    // a pick without a held upstream returns.
+    std::vector<std::size_t> expected = plain.pick("ignored");
+    expected.erase(std::find(expected.begin(), expected.end(), 2u));
+    expected.insert(expected.begin(), 2u);
+    EXPECT_EQ(balancer.pick("ignored", 2u), expected);
+  }
+}
+
+TEST(DispatchBalancer, FewerOutstandingStillBeatsTheHeldUpstream) {
+  UpstreamPool pool({{"h", 1}, {"h", 2}, {"h", 3}});
+  Balancer balancer(pool, BalancePolicy::kLeastOutstanding);
+  pool.begin_call(0);
+  pool.begin_call(2);
+  for (int i = 0; i < 3; ++i) {
+    // 1 is idle; the held 2 wins its tie with 0 at one outstanding.
+    EXPECT_EQ(balancer.pick("ignored", 2u),
+              (std::vector<std::size_t>{1, 2, 0}));
+  }
+}
+
+TEST(DispatchBalancer, UnhealthyHeldUpstreamStillSinksToTheBack) {
+  UpstreamPool pool({{"h", 1}, {"h", 2}, {"h", 3}});
+  Balancer balancer(pool, BalancePolicy::kLeastOutstanding);
+  ASSERT_TRUE(pool.record_probe(2, false, 1, 1));  // eject index 2
+  for (int i = 0; i < 3; ++i) {
+    const auto order = balancer.pick("ignored", 2u);
+    ASSERT_EQ(order.size(), 3u);
+    EXPECT_EQ(order.back(), 2u);
+  }
 }
 
 TEST(DispatchBalancer, UnhealthyUpstreamsSinkToTheBackButStayPresent) {
@@ -546,6 +586,151 @@ TEST(DispatchFront, PublishesPerUpstreamMetrics) {
   EXPECT_FALSE(metrics.histograms().empty());
   front.stop();
   server.stop();
+}
+
+// --- Relayed upstream connections ---------------------------------------
+
+/// One serve.* gauge of a replica's snapshot.
+double replica_gauge(const Server& server, const std::string& name) {
+  return server.stats().gauges().at("serve." + name).value();
+}
+
+/// Polls a replica gauge until it reaches `want` or `seconds` pass.
+bool replica_gauge_reaches(const Server& server, const std::string& name,
+                           double want, double seconds) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(seconds);
+  while (replica_gauge(server, name) != want) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return true;
+}
+
+/// A front over one replica. The health checker's initial sweep has
+/// already come and gone when the constructor returns, so replica
+/// counters read afterwards as deltas count relayed connections only.
+struct Relay {
+  explicit Relay(ServerConfig replica_config = live_server_config(4, 16))
+      : replica(std::move(replica_config)) {
+    replica.start();
+    FrontConfig config;
+    config.upstreams = {{"127.0.0.1", replica.port()}};
+    config.workers = 8;
+    config.health = inert_health();
+    front = std::make_unique<Front>(std::move(config));
+    front->start();
+    (void)replica_gauge_reaches(replica, "in_system", 0.0, 1.0);
+  }
+  ~Relay() {
+    front->stop();
+    replica.stop();
+  }
+
+  Server replica;
+  std::unique_ptr<Front> front;
+};
+
+TEST(DispatchRelay, OneClientConnectionIsOneUpstreamConnection) {
+  constexpr std::size_t kPings = 100;
+  Relay relay;
+  std::vector<std::string> direct_responses;
+  {
+    upa::serve::Client direct;
+    direct.connect("127.0.0.1", relay.replica.port());
+    for (std::size_t i = 0; i < kPings; ++i) {
+      direct_responses.push_back(direct.call_line(
+          R"({"id": )" + std::to_string(i) + R"(, "method": "ping"})"));
+    }
+  }
+  ASSERT_TRUE(replica_gauge_reaches(relay.replica, "in_system", 0.0, 1.0));
+  const double accepted = replica_gauge(relay.replica, "accepted");
+
+  upa::serve::Client client;
+  client.connect("127.0.0.1", relay.front->port());
+  for (std::size_t i = 0; i < kPings; ++i) {
+    EXPECT_EQ(client.call_line(R"({"id": )" + std::to_string(i) +
+                               R"(, "method": "ping"})"),
+              direct_responses[i])
+        << "ping " << i;
+  }
+  EXPECT_EQ(replica_gauge(relay.replica, "accepted") - accepted, 1.0);
+  EXPECT_EQ(front_gauge(*relay.front, "retries"), 0.0);
+}
+
+TEST(DispatchRelay, ClientCloseReleasesTheReplicaWithinASecond) {
+  // Fewer clients than replica workers: a held connection, relayed or
+  // direct, occupies a replica worker for its whole life.
+  constexpr std::size_t kClients = 3;
+  Relay relay;
+  const double accepted = replica_gauge(relay.replica, "accepted");
+  std::vector<upa::serve::Client> clients(kClients);
+  for (upa::serve::Client& c : clients) {
+    c.connect("127.0.0.1", relay.front->port());
+    ASSERT_TRUE(c.call("ping", upa::serve::Json()).ok());
+  }
+  // Each open client connection holds exactly one upstream connection.
+  EXPECT_EQ(replica_gauge(relay.replica, "in_system"),
+            static_cast<double>(kClients));
+  EXPECT_EQ(replica_gauge(relay.replica, "accepted") - accepted,
+            static_cast<double>(kClients));
+  for (upa::serve::Client& c : clients) c.close();
+  EXPECT_TRUE(replica_gauge_reaches(relay.replica, "in_system", 0.0, 1.0));
+}
+
+TEST(DispatchRelay, SubscribeHandoffReleasesTheHeldUpstream) {
+  Relay relay;
+  upa::serve::Client client;
+  client.connect("127.0.0.1", relay.front->port());
+  ASSERT_TRUE(client.call("ping", upa::serve::Json()).ok());
+  EXPECT_EQ(replica_gauge(relay.replica, "in_system"), 1.0);
+  client.send_line(
+      R"({"id": 2, "method": "subscribe", "params": {"interval_ms": 50}})");
+  EXPECT_TRUE(upa::serve::classify_response(client.read_line()).ok());
+  // The connection is a telemetry stream now and forwards nothing.
+  EXPECT_TRUE(replica_gauge_reaches(relay.replica, "in_system", 0.0, 1.0));
+}
+
+TEST(DispatchRelay, OneRequestConnectionsAreOneReplicaCustomerEach) {
+  // The loss workloads' shape: connect, one request, close.
+  constexpr std::size_t kClients = 20;
+  Relay relay;
+  const double accepted = replica_gauge(relay.replica, "accepted");
+  for (std::size_t i = 0; i < kClients; ++i) {
+    upa::serve::Client c;
+    c.connect("127.0.0.1", relay.front->port());
+    ASSERT_TRUE(c.call("ping", upa::serve::Json(), i).ok());
+  }
+  EXPECT_EQ(replica_gauge(relay.replica, "accepted") - accepted,
+            static_cast<double>(kClients));
+  EXPECT_LE(replica_gauge(relay.replica, "max_in_system"),
+            static_cast<double>(kClients));
+  EXPECT_TRUE(replica_gauge_reaches(relay.replica, "in_system", 0.0, 1.0));
+}
+
+TEST(DispatchRelay, StaleHeldConnectionIsReplacedWithinTheAttempt) {
+  // The replica closes idle connections after 0.2 s; the front keeps
+  // its client for 10 s. The second ping finds the held upstream
+  // connection closed and must reconnect without a retry.
+  ServerConfig replica_config = live_server_config(2, 16);
+  replica_config.read_timeout_seconds = 0.2;
+  Relay relay(std::move(replica_config));
+  const double accepted = replica_gauge(relay.replica, "accepted");
+
+  upa::serve::Client client;
+  client.connect("127.0.0.1", relay.front->port());
+  ASSERT_TRUE(client.call("ping", upa::serve::Json(), 1).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const upa::serve::CallResult second =
+      client.call("ping", upa::serve::Json(), 2);
+  EXPECT_EQ(second.outcome, CallOutcome::kOk) << second.error_message;
+
+  EXPECT_EQ(front_gauge(*relay.front, "retries"), 0.0);
+  EXPECT_EQ(front_gauge(*relay.front, "forwarded_ok"), 2.0);
+  const auto upstreams = relay.front->upstreams();
+  EXPECT_EQ(upstreams[0].attempts, 2u);
+  EXPECT_EQ(upstreams[0].transport, 0u);
+  EXPECT_EQ(replica_gauge(relay.replica, "accepted") - accepted, 2.0);
 }
 
 // --- Kill schedules from FaultPlans --------------------------------------

@@ -6,15 +6,21 @@
 // loop from the same code and must behave the same at its edges.
 //
 // ServeNetViews checks that each daemon's RPC, subscribe stream and C++
-// snapshot agree on every counter after a mixed load.
+// snapshot agree on every counter after a mixed load. ServeNetClient
+// pins the socket bounds of the protocol client built on the same
+// helpers.
 //
 // Naming note: ServeNet and ServeNetViews run under the sanitizer CI
 // jobs (their ctest regexes include them).
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -502,6 +508,45 @@ TEST(ServeNetViews, DispatchStatsSubscribeAndSnapshotAgree) {
   expect_tick(tick, front.stats());
   front.stop();
   live.stop();
+}
+
+// --- The protocol client ---------------------------------------------
+
+TEST(ServeNetClient, SendTimesOutOnAPeerThatStopsReading) {
+  // A listener whose accepted connection never reads, with a tiny
+  // receive window, so a multi-megabyte request line fills both socket
+  // buffers and the client's send stalls.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  const int window = 4096;
+  ::setsockopt(listener, SOL_SOCKET, SO_RCVBUF, &window, sizeof window);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof addr;
+  ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len);
+
+  Client client;
+  client.connect("127.0.0.1", ntohs(addr.sin_port), 1.0, 0.3);
+  const int accepted = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(accepted, 0);
+
+  const std::string line(8u << 20, 'x');
+  std::future<void> call = std::async(std::launch::async, [&] {
+    (void)client.call_line(line);
+  });
+  const bool returned =
+      call.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  // Closing the silent peer releases a send that never timed out, so a
+  // missing bound fails the test instead of hanging it.
+  ::close(accepted);
+  ::close(listener);
+  EXPECT_TRUE(returned) << "send to a peer that stopped reading never "
+                           "timed out";
+  EXPECT_THROW(call.get(), upa::common::ModelError);
 }
 
 }  // namespace
