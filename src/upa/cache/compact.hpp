@@ -2,7 +2,7 @@
 // Segment compaction and garbage collection for the persistent tier.
 //
 // An append-only directory accumulates one segment per process run plus
-// whatever `cache import` replicated in; over months that means many
+// whatever anti-entropy `cache pull` replicated in; over months that means many
 // files, duplicate keys (the same design point computed by different
 // runs), CRC-damaged records, and -- after a solver-stack bump --
 // whole segments with a stale version tag. Compaction merges a set of

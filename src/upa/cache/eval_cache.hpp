@@ -251,7 +251,7 @@ class EvalCache {
   }
 
   /// Inserts an already-computed value (the persistent tier's pre-warm
-  /// and the `cache import` RPC). Never fires the sink -- a seeded value
+  /// and pages pulled by anti-entropy). Never fires the sink -- a seeded value
   /// came FROM persistence -- and counts as an insert, not a lookup.
   /// Returns false when the key is already present (or in flight), in
   /// which case the existing entry wins.

@@ -418,10 +418,6 @@ PersistStats PersistentCache::stats() const {
   return stats_;
 }
 
-std::string export_segment_blob(EvalCache& cache, ExportStats* stats) {
-  return export_delta_blob(cache, {}, stats);
-}
-
 ImportStats import_segment_blob(EvalCache& cache,
                                 std::string_view segment_bytes) {
   ImportStats import;
@@ -479,31 +475,6 @@ std::vector<std::uint64_t> decode_digests(std::string_view bytes) {
   while (r.remaining() > 0) digests.push_back(r.get_u64());
   std::sort(digests.begin(), digests.end());
   return digests;
-}
-
-std::string export_delta_blob(EvalCache& cache,
-                              const std::vector<std::uint64_t>& have,
-                              ExportStats* stats) {
-  ExportStats local;
-  std::string blob = segment_header();
-  for (const EvalCache::SnapshotEntry& entry : cache.snapshot()) {
-    if (!have.empty() &&
-        std::binary_search(have.begin(), have.end(),
-                           key_digest(entry.key_bytes))) {
-      continue;  // the caller already holds this key (by digest)
-    }
-    const ValueCodec* codec = codec_for_type(*entry.value.type);
-    if (codec == nullptr) {
-      ++local.skipped_no_codec;
-      continue;
-    }
-    blob += encode_record(SegmentRecord{
-        std::string(codec->type_tag), entry.key_bytes,
-        codec->serialize(entry.value.value.get())});
-    ++local.records;
-  }
-  if (stats != nullptr) *stats = local;
-  return blob;
 }
 
 namespace {

@@ -30,15 +30,12 @@
 // (see compact.hpp); the process's own active segment is never touched.
 // upa_cachectl drives the same pass offline.
 //
-// Free functions export_segment_blob / import_segment_blob carry
-// segment bytes over the wire (`cache export` / `cache import`), and
-// digest_summary / export_delta_blob implement the anti-entropy
-// exchange: a replica ships the digests it HAS, a peer answers with a
-// delta blob of only the records the caller is missing.
-// digest_fingerprint collapses the summary to an O(1)-to-compare
-// (count, fold) pair so converged replicas skip the exchange entirely,
-// and export_delta_page cuts a large delta into bounded pages that fit
-// the wire protocol's line cap.
+// Free functions digest_summary / export_delta_page / import_segment_blob
+// implement the anti-entropy exchange (`cache pull`): a replica ships
+// the digests it HAS, a peer answers with bounded, digest-ordered pages
+// of only the records the caller is missing. digest_fingerprint
+// collapses the summary to an O(1)-to-compare (count, fold) pair so
+// converged replicas skip the exchange entirely.
 //
 // Writer exclusivity: construction takes an flock(2) DirectoryLock on
 // the directory (`.upalock`), so a second writer -- another process OR
@@ -141,9 +138,9 @@ class PersistentCache final : public CacheSink, public CacheSource {
   /// CacheSource: serves a lazy lookup from the mapped segments.
   bool lookup(const CacheKey& key, StoredValue* out) override;
 
-  /// Decodes a segment blob (the `cache import` RPC payload), seeds the
-  /// cache, and appends previously unseen records to the active segment
-  /// so the imported warmth survives the NEXT restart too.
+  /// Decodes a segment blob (a `cache pull` page), seeds the cache, and
+  /// appends previously unseen records to the active segment so the
+  /// pulled warmth survives the NEXT restart too.
   ImportStats import_blob(std::string_view segment_bytes);
 
   /// Merges this directory's sealed segments (everything but the
@@ -206,17 +203,8 @@ class PersistentCache final : public CacheSink, public CacheSource {
   bool maintenance_stop_ = false;
 };
 
-/// Serializes every completed in-memory entry that has a registered
-/// codec into one segment blob (the `cache export` RPC payload).
-struct ExportStats {
-  std::uint64_t records = 0;
-  std::uint64_t skipped_no_codec = 0;
-};
-[[nodiscard]] std::string export_segment_blob(EvalCache& cache,
-                                              ExportStats* stats = nullptr);
-
 /// Seeds `cache` from a segment blob without touching any disk tier
-/// (the import path of a replica running without --cache-dir).
+/// (how a replica running without --cache-dir imports a pulled page).
 ImportStats import_segment_blob(EvalCache& cache,
                                 std::string_view segment_bytes);
 
@@ -232,12 +220,6 @@ ImportStats import_segment_blob(EvalCache& cache,
 [[nodiscard]] std::vector<std::uint64_t> decode_digests(
     std::string_view bytes);
 
-/// Like export_segment_blob, but skips every entry whose key digest is
-/// in `have` (must be sorted) -- the delta a `cache pull` answers with.
-[[nodiscard]] std::string export_delta_blob(
-    EvalCache& cache, const std::vector<std::uint64_t>& have,
-    ExportStats* stats = nullptr);
-
 /// O(1)-to-compare convergence check: the number of distinct key
 /// digests plus a commutative splitmix64 fold over them. Equal
 /// fingerprints mean equal warm sets (up to a ~2^-64 fold collision),
@@ -251,13 +233,15 @@ struct DigestFingerprint {
 };
 [[nodiscard]] DigestFingerprint digest_fingerprint(EvalCache& cache);
 
-/// One bounded page of the delta export: records in ascending
-/// key-digest order, strictly after `cursor`, packed until adding the
-/// next record would push the blob past `max_bytes` (a page always
-/// carries at least one record, so progress never stalls on one large
-/// value). `complete` means the delta is exhausted; otherwise resume
-/// with `next_cursor`. Lets `cache pull` answers stay under the wire
-/// protocol's line cap no matter how large the delta is.
+/// One bounded page of the delta a `cache pull` answers with: every
+/// completed in-memory entry with a registered codec whose key digest
+/// is not in `have` (must be sorted), in ascending key-digest order,
+/// strictly after `cursor`, packed until adding the next record would
+/// push the blob past `max_bytes` (a page always carries at least one
+/// record, so progress never stalls on one large value). `complete`
+/// means the delta is exhausted; otherwise resume with `next_cursor`.
+/// Lets `cache pull` answers stay under the wire protocol's line cap
+/// no matter how large the delta is.
 struct DeltaPage {
   std::string blob;            ///< segment header + the page's records
   bool complete = true;        ///< no records remain past this page

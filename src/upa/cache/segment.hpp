@@ -1,7 +1,7 @@
 #pragma once
 // Append-only, checksummed, version-tagged segment files: the on-disk
 // unit of the evaluation cache's persistent tier, and the blob format
-// the `cache export` / `cache import` RPC verbs ship between replicas.
+// the `cache pull` RPC pages between replicas.
 //
 // Layout (all integers little-endian):
 //

@@ -2,10 +2,10 @@
 // Byte codecs for the evaluation cache's persistent tier.
 //
 // A cached value crosses a process boundary in two places: the on-disk
-// segment files (persist.hpp) and the `cache export` / `cache import`
-// RPC verbs. Both carry the same encoding, produced here: fixed-width
-// little-endian integers, raw IEEE-754 bit patterns for doubles (values
-// round-trip BIT FOR BIT -- the whole point of the replay contract; no
+// segment files (persist.hpp) and the pages of the `cache pull` RPC.
+// Both carry the same encoding, produced here: fixed-width little-endian
+// integers, raw IEEE-754 bit patterns for doubles (values round-trip
+// BIT FOR BIT -- the whole point of the replay contract; no
 // -0.0 normalization happens on the value side, only on the key side),
 // and u64 length prefixes for strings and vectors, mirroring
 // KeyBuilder's conventions.

@@ -116,8 +116,7 @@ bool AntiEntropyAgent::run_round(std::size_t peer_index) {
         cache::encode_digests(cache::digest_summary(cache::global())));
 
     // Steps 2-4: pull the delta in bounded pages over the kept-alive
-    // connection. A peer that ignores max_bytes answers one unpaged
-    // blob whose reply lacks `complete`; that imports as a single page.
+    // connection.
     std::uint64_t pulled = 0;
     std::uint64_t pages = 0;
     std::string cursor_hex;
@@ -125,10 +124,7 @@ bool AntiEntropyAgent::run_round(std::size_t peer_index) {
       Json params = Json::object();
       params.set("op", Json(std::string("pull")));
       params.set("have_hex", Json(have_hex));
-      if (config_.max_pull_bytes > 0) {
-        params.set("max_bytes",
-                   Json(static_cast<double>(config_.max_pull_bytes)));
-      }
+      params.set("max_bytes", Json(static_cast<double>(kPullPageBytes)));
       if (!cursor_hex.empty()) params.set("cursor", Json(cursor_hex));
       const CallResult reply = client.call("cache", std::move(params));
       if (!reply.ok()) {
@@ -154,10 +150,9 @@ bool AntiEntropyAgent::run_round(std::size_t peer_index) {
       ++pages;
 
       const Json* complete = result->find("complete");
-      if (complete == nullptr || !complete->is_bool() ||
-          complete->as_bool()) {
-        break;
-      }
+      UPA_REQUIRE(complete != nullptr && complete->is_bool(),
+                  "cache pull reply lacks complete");
+      if (complete->as_bool()) break;
       const Json* next_cursor = result->find("next_cursor");
       UPA_REQUIRE(next_cursor != nullptr && next_cursor->is_string(),
                   "incomplete pull reply lacks next_cursor");

@@ -14,7 +14,7 @@
 //   1. summarize what this replica HAS: the sorted key digests of every
 //      completed cache entry (cache::digest_summary);
 //   2. `cache` op=pull RPC to the peer with that summary (have_hex),
-//      bounded to max_pull_bytes of blob per reply -- the peer answers
+//      bounded to kPullPageBytes of blob per reply -- the peer answers
 //      in digest-ordered pages (cursor/complete) so no reply line can
 //      outgrow the wire protocol's line cap;
 //   3. each page is a delta segment blob holding ONLY the records the
@@ -29,6 +29,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -46,14 +47,15 @@ struct AntiEntropyStats {
   std::uint64_t pages_pulled = 0;      ///< paged pull replies imported
 };
 
+/// Blob-byte bound of one `cache pull` page: the agent asks for it and
+/// the server applies it to a pull that names no max_bytes. Hex doubles
+/// it on the wire, so a page stays well under the 1 MB line cap.
+inline constexpr std::size_t kPullPageBytes = 300'000;
+
 struct AntiEntropyConfig {
   std::vector<std::string> peers;  ///< "host:port" per peer replica
   std::chrono::milliseconds interval{1000};
   double connect_timeout_seconds = 2.0;
-  /// Blob-byte bound per pull reply (hex doubles it on the wire, so
-  /// 300 kB stays well under the protocol's 1 MB line cap). 0 asks the
-  /// peer for the whole delta in one unpaged reply.
-  std::size_t max_pull_bytes = 300'000;
 };
 
 class AntiEntropyAgent {

@@ -357,10 +357,11 @@ TEST(AntiEntropy, DigestsRoundTripAndDeltaShipsOnlyMissingRecords) {
   EXPECT_THROW((void)cache::decode_digests("short"), ModelError);
 
   // B answers A's pull with only what A is missing: keys 3 and 4.
-  cache::ExportStats exported;
-  const std::string delta = cache::export_delta_blob(b, have_a, &exported);
+  const cache::DeltaPage exported =
+      cache::export_delta_page(b, have_a, 0, SIZE_MAX);
   EXPECT_EQ(exported.records, 2u);
-  const cache::ImportStats imported = cache::import_segment_blob(a, delta);
+  const cache::ImportStats imported =
+      cache::import_segment_blob(a, exported.blob);
   EXPECT_EQ(imported.records_seeded, 2u);
   EXPECT_EQ(imported.records_duplicate, 0u);
   EXPECT_EQ(a.size(), 4u);
@@ -384,9 +385,9 @@ TEST(AntiEntropy, ConvergesUnderConcurrentInserts) {
   std::atomic<bool> writers_done{false};
 
   const auto pull = [](cache::EvalCache& into, cache::EvalCache& from) {
-    const std::string delta =
-        cache::export_delta_blob(from, cache::digest_summary(into));
-    (void)cache::import_segment_blob(into, delta);
+    const cache::DeltaPage delta = cache::export_delta_page(
+        from, cache::digest_summary(into), 0, SIZE_MAX);
+    (void)cache::import_segment_blob(into, delta.blob);
   };
 
   std::thread writer_a([&] {

@@ -1,8 +1,8 @@
 // Persistent cache tier: segment framing (CRC, torn tails, version
 // gates), the value codecs' bit-for-bit round-trip contract, key-byte
 // reconstruction, the PersistentCache warm-restart path, and the
-// export/import blob transfer the farm uses to warm a restarted
-// replica from a healthy peer.
+// delta pages anti-entropy pulls to warm a restarted replica from a
+// healthy peer.
 
 #include <gtest/gtest.h>
 
@@ -417,8 +417,9 @@ TEST(PersistentCacheTier, ExportImportBlobWarmsAPeerCache) {
   for (double x : {1.0, 2.0}) {
     (void)warm.get_or_compute<double>(key_of(x), [x] { return 100.0 + x; });
   }
-  cache::ExportStats exported;
-  const std::string blob = cache::export_segment_blob(warm, &exported);
+  const cache::DeltaPage exported =
+      cache::export_delta_page(warm, {}, 0, SIZE_MAX);
+  const std::string& blob = exported.blob;
   EXPECT_EQ(exported.records, 2u);
   EXPECT_EQ(exported.skipped_no_codec, 0u);
 
@@ -438,6 +439,45 @@ TEST(PersistentCacheTier, ExportImportBlobWarmsAPeerCache) {
   const cache::ImportStats again = cache::import_segment_blob(restarted, blob);
   EXPECT_EQ(again.records_seeded, 0u);
   EXPECT_EQ(again.records_duplicate, 2u);
+}
+
+TEST(PersistentCacheTier, ImportBlobPersistsPulledWarmthAcrossRestart) {
+  // What anti-entropy does on a replica with --cache-dir: a pulled page
+  // goes through PersistentCache::import_blob, which seeds memory AND
+  // appends to the active segment, so the pulled warmth survives the
+  // replica's next restart without a second pull.
+  constexpr int kKeys = 5;
+  cache::EvalCache peer;
+  for (int k = 0; k < kKeys; ++k) {
+    (void)peer.get_or_compute<double>(key_of(double(k)),
+                                      [k] { return 7.0 * k; });
+  }
+  const cache::DeltaPage page =
+      cache::export_delta_page(peer, {}, 0, SIZE_MAX);
+  ASSERT_TRUE(page.complete);
+  ASSERT_EQ(page.records, std::uint64_t(kKeys));
+
+  TempDir tmp;
+  {
+    cache::EvalCache ec;
+    cache::PersistentCache tier(ec, tmp.dir);
+    const cache::ImportStats imported = tier.import_blob(page.blob);
+    EXPECT_FALSE(imported.segment_rejected);
+    EXPECT_EQ(imported.records_seeded, std::uint64_t(kKeys));
+    EXPECT_EQ(imported.records_appended, std::uint64_t(kKeys));
+  }
+
+  cache::EvalCache restarted;
+  cache::PersistentCache tier(restarted, tmp.dir);
+  for (int k = 0; k < kKeys; ++k) {
+    const auto value = restarted.get_or_compute<double>(
+        key_of(double(k)), []() -> double {
+          throw ModelError("pulled warmth did not survive the restart");
+        });
+    EXPECT_EQ(*value, 7.0 * k);
+  }
+  EXPECT_EQ(tier.stats().disk_hits, std::uint64_t(kKeys));
+  EXPECT_EQ(restarted.stats().misses, 0u);
 }
 
 TEST(PersistentCacheTier, ImportGatesVersionTagAndUnknownTags) {
@@ -613,7 +653,7 @@ TEST(AntiEntropy, PagedDeltaCoversTheFullSetInBoundedPages) {
   // page still carries at least one record, so the cursor walk always
   // terminates with the union equal to the unpaged delta.
   const std::size_t max_bytes =
-      cache::export_segment_blob(from).size() / 6;
+      cache::export_delta_page(from, {}, 0, SIZE_MAX).blob.size() / 6;
   cache::EvalCache into;
   std::uint64_t cursor = 0;
   std::size_t pages = 0;

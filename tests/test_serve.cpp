@@ -20,6 +20,8 @@
 #include <vector>
 
 #include "upa/cache/eval_cache.hpp"
+#include "upa/cache/persist.hpp"
+#include "upa/cache/serialize.hpp"
 #include "upa/common/error.hpp"
 #include "upa/obs/observer.hpp"
 #include "upa/queueing/mmck.hpp"
@@ -170,62 +172,13 @@ TEST(ServeDispatcher, CacheOnResponsesAreByteIdentical) {
   upa::cache::global().clear();
 }
 
-TEST(ServeDispatcher, CacheExportImportRoundTripOverRpc) {
-  // The farm's warm-transfer path end to end through the protocol: warm
-  // the cache, `cache export` it to a hex blob, wipe the cache (the
-  // restarted replica), `cache import` the blob back, and require the
-  // re-issued evaluation to be a pure hit with a byte-identical line.
-  const Dispatcher d;
-  const std::string request =
-      R"({"id": 1, "method": "mmck_metrics",)"
-      R"( "params": {"alpha": 173, "nu": 89, "servers": 3, "capacity": 11}})";
-
-  upa::cache::ScopedEnable on(true);
-  upa::cache::global().clear();
-  const std::string warm_line = d.dispatch_line(request);
-
-  const Json exported = parse_json(d.dispatch_line(
-      R"({"id": 2, "method": "cache", "params": {"op": "export"}})"));
-  ASSERT_TRUE(exported.find("ok")->as_bool()) << exported.dump();
-  const Json* result = exported.find("result");
-  EXPECT_GE(result->find("exported_records")->as_number(), 1.0);
-  const std::string hex = result->find("segment_hex")->as_string();
-  ASSERT_FALSE(hex.empty());
-
-  ASSERT_TRUE(parse_json(d.dispatch_line(
-                             R"({"id": 3, "method": "cache",)"
-                             R"( "params": {"op": "clear"}})"))
-                  .find("ok")
-                  ->as_bool());
-  EXPECT_EQ(upa::cache::global().size(), 0u);
-
-  const Json imported = parse_json(d.dispatch_line(
-      R"({"id": 4, "method": "cache", "params": {"op": "import",)"
-      R"( "segment_hex": ")" +
-      hex + R"("}})"));
-  ASSERT_TRUE(imported.find("ok")->as_bool()) << imported.dump();
-  EXPECT_GE(imported.find("result")->find("imported_records")->as_number(),
-            1.0);
-
-  upa::cache::global().reset_stats();
-  EXPECT_EQ(d.dispatch_line(request), warm_line);
-  EXPECT_GT(upa::cache::global().stats().hits, 0u);
-  EXPECT_EQ(upa::cache::global().stats().misses, 0u);
-
-  // A corrupt blob is a 400-class envelope, not a crash.
-  const Json bad = parse_json(d.dispatch_line(
-      R"({"id": 5, "method": "cache",)"
-      R"( "params": {"op": "import", "segment_hex": "zz"}})"));
-  EXPECT_FALSE(bad.find("ok")->as_bool());
-  upa::cache::global().clear();
-}
-
 TEST(ServeDispatcher, CacheDigestPullShipsOnlyMissingRecords) {
   // The anti-entropy pair over the protocol: `cache digest` summarizes
   // what a replica holds, `cache pull` answers with ONLY the records
   // the caller's summary is missing. A caller that has everything gets
   // an empty delta; one that has nothing gets the full set, and
-  // importing it after a wipe makes the re-issued evaluation a pure hit.
+  // importing it after a wipe (the agent's own import call) makes the
+  // re-issued evaluation a pure hit with a byte-identical line.
   const Dispatcher d;
   const std::string request =
       R"({"id": 1, "method": "mmck_metrics",)"
@@ -273,29 +226,40 @@ TEST(ServeDispatcher, CacheDigestPullShipsOnlyMissingRecords) {
                              R"( "params": {"op": "clear"}})"))
                   .find("ok")
                   ->as_bool());
-  const Json imported = parse_json(d.dispatch_line(
-      R"({"id": 7, "method": "cache", "params": {"op": "import",)"
-      R"( "segment_hex": ")" +
-      blob_hex + R"("}})"));
-  ASSERT_TRUE(imported.find("ok")->as_bool()) << imported.dump();
+  const upa::cache::ImportStats imported = upa::cache::import_segment_blob(
+      upa::cache::global(), upa::cache::from_hex(blob_hex));
+  ASSERT_FALSE(imported.segment_rejected);
+  EXPECT_GE(imported.records_seeded, 1u);
   upa::cache::global().reset_stats();
   EXPECT_EQ(d.dispatch_line(request), warm_line);
   EXPECT_GT(upa::cache::global().stats().hits, 0u);
   EXPECT_EQ(upa::cache::global().stats().misses, 0u);
 
-  // A have_hex that is not a whole number of u64s is a 400-class
-  // envelope, not a crash.
-  const Json bad = parse_json(d.dispatch_line(
-      R"({"id": 8, "method": "cache",)"
-      R"( "params": {"op": "pull", "have_hex": "aabb"}})"));
-  EXPECT_FALSE(bad.find("ok")->as_bool());
+  // A have_hex that is not a whole number of u64s, or not hex at all,
+  // is a 400-class envelope, not a crash.
+  for (const char* have : {"aabb", "zz"}) {
+    const Json bad = parse_json(d.dispatch_line(
+        R"({"id": 8, "method": "cache",)"
+        R"( "params": {"op": "pull", "have_hex": ")" +
+        std::string(have) + R"("}})"));
+    EXPECT_FALSE(bad.find("ok")->as_bool()) << have;
+  }
+
+  // `export` and `import` are not ops: records move between replicas
+  // only through `pull`.
+  for (const char* op : {"export", "import"}) {
+    const Json gone = parse_json(d.dispatch_line(
+        R"({"id": 9, "method": "cache", "params": {"op": ")" +
+        std::string(op) + R"("}})"));
+    EXPECT_FALSE(gone.find("ok")->as_bool()) << op;
+  }
   upa::cache::global().clear();
 }
 
 TEST(ServeDispatcher, CacheFingerprintAndPagedPullOverTheProtocol) {
   // The scalable anti-entropy pair: `fingerprint` answers the O(1)
   // convergence probe, and `pull` with max_bytes cuts the delta into
-  // cursor-resumable pages whose union equals the unpaged blob.
+  // cursor-resumable pages whose union equals the default-budget blob.
   const Dispatcher d;
   upa::cache::ScopedEnable on(true);
   upa::cache::global().clear();
@@ -324,11 +288,14 @@ TEST(ServeDispatcher, CacheFingerprintAndPagedPullOverTheProtocol) {
   EXPECT_NE(fp2.find("result")->find("fingerprint_hex")->as_string(),
             fp_hex);
 
-  // Unpaged pull for the reference blob size; then page at a fraction
-  // of it and walk the cursor chain.
+  // A pull without max_bytes still pages, at the default budget, which
+  // this small set fits in one complete page: the reference blob size.
+  // Then page at a fraction of it and walk the cursor chain.
   const Json full = parse_json(d.dispatch_line(
       R"({"id": 5, "method": "cache", "params": {"op": "pull"}})"));
   ASSERT_TRUE(full.find("ok")->as_bool()) << full.dump();
+  ASSERT_NE(full.find("result")->find("complete"), nullptr) << full.dump();
+  EXPECT_TRUE(full.find("result")->find("complete")->as_bool());
   const double full_records =
       full.find("result")->find("delta_records")->as_number();
   const std::size_t full_bytes =
@@ -365,6 +332,16 @@ TEST(ServeDispatcher, CacheFingerprintAndPagedPullOverTheProtocol) {
       R"({"id": 7, "method": "cache",)"
       R"( "params": {"op": "pull", "max_bytes": 1000, "cursor": "xyz"}})"));
   EXPECT_FALSE(bad.find("ok")->as_bool());
+  // So is a page budget of zero or past the default, which would let a
+  // reply outgrow the bound every page keeps.
+  for (const std::size_t budget : {std::size_t{0},
+                                   upa::serve::kPullPageBytes + 1}) {
+    const Json unbounded = parse_json(d.dispatch_line(
+        R"({"id": 8, "method": "cache", "params": {"op": "pull",)"
+        R"( "max_bytes": )" +
+        std::to_string(budget) + "}}"));
+    EXPECT_FALSE(unbounded.find("ok")->as_bool()) << budget;
+  }
   upa::cache::global().clear();
 }
 

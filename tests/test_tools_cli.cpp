@@ -20,6 +20,8 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -192,6 +194,41 @@ TEST(ToolsCli, LoadgenTypoFlagExitsTwoBeforeSpawning) {
             std::string::npos);
   EXPECT_NE(r.output.find("usage:"), std::string::npos);
   EXPECT_EQ(r.output.find("sent="), std::string::npos);
+}
+
+TEST(ToolsCli, LoadgenFarmKillsZeroRunsTheNoFailureBaseline) {
+  // --kills 0 is an empty kill schedule (the pooled-queue baseline),
+  // not an error about an empty fault plan.
+  const std::string out = ::testing::TempDir() + "upa_farm_kills0.json";
+  std::remove(out.c_str());
+  const RunResult r = run_tool(
+      UPA_LOADGEN_BINARY,
+      "--mode farm --served-bin " + std::string(UPA_SERVED_BINARY) +
+          " --kills 0 --requests 40 --out " + out);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  std::ifstream in(out);
+  std::stringstream json;
+  json << in.rdbuf();
+  EXPECT_NE(json.str().find("\"farm_failover_n3_kills0\""),
+            std::string::npos)
+      << json.str();
+  EXPECT_NE(json.str().find("\"kills\": 0,"), std::string::npos)
+      << json.str();
+  std::remove(out.c_str());
+}
+
+TEST(ToolsCli, ServedPeersWithoutAntiEntropyExitsOneBeforeBinding) {
+  // --peers alone would start no anti-entropy agent and leave the
+  // replica cold; it is refused like --anti-entropy-ms without --peers.
+  // `timeout` bounds the run of a build that would start serving.
+  const RunResult r = run_tool(
+      "timeout", "10 " + std::string(UPA_SERVED_BINARY) +
+                     " --port 0 --peers 127.0.0.1:1");
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("--peers requires --anti-entropy-ms"),
+            std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("listening on"), std::string::npos);
 }
 
 TEST(ToolsCli, LoadgenFlagFromAnotherModeExitsTwo) {

@@ -54,7 +54,8 @@ void print_usage(std::ostream& os) {
         "  --cache-compact-ms N  background compaction sweep interval for\n"
         "                     --cache-dir segments, 0 = off (default 0)\n"
         "  --peers LIST       comma-separated host:port peer replicas for\n"
-        "                     anti-entropy warm-set exchange\n"
+        "                     anti-entropy warm-set exchange (requires\n"
+        "                     --anti-entropy-ms)\n"
         "  --anti-entropy-ms N  anti-entropy round interval; every round\n"
         "                     pulls the records a peer has and this\n"
         "                     replica lacks, 0 = off (default 0;\n"
@@ -146,8 +147,9 @@ int main(int argc, char** argv) {
     const double compact_ms = args.get_double("cache-compact-ms", 0.0);
     UPA_REQUIRE(anti_entropy_ms <= 0.0 || !peers.empty(),
                 "--anti-entropy-ms requires --peers");
-    UPA_REQUIRE((anti_entropy_ms <= 0.0 && peers.empty()) ||
-                    cache_mode == "on",
+    UPA_REQUIRE(peers.empty() || anti_entropy_ms > 0.0,
+                "--peers requires --anti-entropy-ms");
+    UPA_REQUIRE(anti_entropy_ms <= 0.0 || cache_mode == "on",
                 "--peers/--anti-entropy-ms require --cache on");
     UPA_REQUIRE(compact_ms <= 0.0 || !cache_dir.empty(),
                 "--cache-compact-ms requires --cache-dir");
