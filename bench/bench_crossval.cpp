@@ -3,6 +3,9 @@
 // CTMC, GSPN reachability, Monte-Carlo simulation) so drift between
 // engines is immediately visible.
 
+#include <algorithm>
+#include <cstdlib>
+
 #include "bench_util.hpp"
 #include "upa/core/web_farm.hpp"
 #include "upa/queueing/mmck.hpp"
@@ -12,6 +15,7 @@
 #include "upa/spn/reachability.hpp"
 #include "upa/spn/to_ctmc.hpp"
 #include "upa/ta/user_availability.hpp"
+#include "upa/ta/user_classes.hpp"
 
 namespace {
 
@@ -98,18 +102,29 @@ void print_crossval() {
              cm::fmt_sci(std::abs(sim.interval.mean - closed), 2)});
   std::cout << t << "\n";
 
-  // User-level availability: eq. 10 vs hierarchy.
+  // User-level availability: eq. 10 vs hierarchy. Both are exact, so any
+  // difference beyond rounding is a bug and fails the harness.
   const auto p = upa::bench::paper_params(3);
-  cm::Table u({"engine", "A(user, class B)", "abs diff"});
+  cm::Table u({"class", "paper eq. (10) closed form",
+               "4-level hierarchy, path expansion", "abs diff"});
   u.set_align(0, cm::Align::kLeft);
   u.set_title("User-perceived availability");
-  const double eq10 = ut::user_availability_eq10(ut::UserClass::kB, p);
-  const double hier =
-      ut::user_availability_hierarchical(ut::UserClass::kB, p);
-  u.add_row({"paper eq. (10) closed form", cm::fmt(eq10, 12), "-"});
-  u.add_row({"4-level hierarchical conditioning", cm::fmt(hier, 12),
-             cm::fmt_sci(std::abs(hier - eq10), 2)});
+  double worst_user_diff = 0.0;
+  for (const auto uclass : {ut::UserClass::kA, ut::UserClass::kB}) {
+    const double eq10 = ut::user_availability_eq10(uclass, p);
+    const double hier = ut::user_availability_hierarchical(uclass, p);
+    const double diff = std::abs(hier - eq10);
+    worst_user_diff = std::max(worst_user_diff, diff);
+    u.add_row({ut::user_class_name(uclass), cm::fmt(eq10, 12),
+               cm::fmt(hier, 12), cm::fmt_sci(diff, 2)});
+  }
   std::cout << u << "\n";
+  if (!(worst_user_diff <= 1e-12)) {
+    std::cerr << "bench_crossval: hierarchical and eq. (10) user "
+                 "availability differ by "
+              << worst_user_diff << " > 1e-12\n";
+    std::exit(1);
+  }
 
   // Queue loss: closed form vs DES.
   // Two servers keep the loss probability (~6.5e-4) observable within a

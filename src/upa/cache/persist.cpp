@@ -508,21 +508,26 @@ DeltaPage export_delta_page(EvalCache& cache,
   // the snapshots are taken independently: every digest <= cursor was
   // already shipped (or skipped), so concurrent inserts behind the
   // cursor are simply left for the NEXT round, like any gossip.
-  std::vector<EvalCache::SnapshotEntry> entries = cache.snapshot();
-  std::sort(entries.begin(), entries.end(),
-            [](const EvalCache::SnapshotEntry& a,
-               const EvalCache::SnapshotEntry& b) {
-              return key_digest(a.key_bytes) < key_digest(b.key_bytes);
-            });
+  const std::vector<EvalCache::SnapshotEntry> entries = cache.snapshot();
+  // (digest, snapshot index) of every entry the caller may still need,
+  // digested once and sorted; the index breaks digest ties, so the first
+  // key in snapshot (key-byte) order wins.
+  std::vector<std::pair<std::uint64_t, std::size_t>> pending;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const std::uint64_t digest = key_digest(entries[i].key_bytes);
+    if (digest > cursor &&
+        !std::binary_search(have.begin(), have.end(), digest)) {
+      pending.emplace_back(digest, i);
+    }
+  }
+  std::sort(pending.begin(), pending.end());
   DeltaPage page;
   page.blob = segment_header();
   page.next_cursor = cursor;
   std::uint64_t previous = cursor;
-  for (const EvalCache::SnapshotEntry& entry : entries) {
-    const std::uint64_t digest = key_digest(entry.key_bytes);
-    if (digest <= cursor) continue;
+  for (const auto& [digest, index] : pending) {
     if (digest == previous) continue;  // digest dupe: first key wins
-    if (std::binary_search(have.begin(), have.end(), digest)) continue;
+    const EvalCache::SnapshotEntry& entry = entries[index];
     const ValueCodec* codec = codec_for_type(*entry.value.type);
     if (codec == nullptr) {
       ++page.skipped_no_codec;

@@ -1,7 +1,10 @@
 #include "upa/core/hierarchy.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <memory_resource>
+#include <numeric>
 
 #include "upa/common/error.hpp"
 #include "upa/common/numeric.hpp"
@@ -73,10 +76,7 @@ double FunctionModel::success_given(
     bool all_up = true;
     for (ServiceId s : path.services) {
       UPA_REQUIRE(s < service_up.size(), "service id out of range");
-      if (!service_up[s]) {
-        all_up = false;
-        break;
-      }
+      all_up = all_up && service_up[s];
     }
     if (all_up) success += path.probability;
   }
@@ -84,22 +84,13 @@ double FunctionModel::success_given(
 }
 
 double FunctionModel::availability(const ServiceCatalog& catalog) const {
-  // Paths may share services, so compute the expectation by conditioning
-  // on the involved services' joint state (independent services).
   double total = 0.0;
-  const std::size_t m = involved_.size();
-  UPA_REQUIRE(m <= 20, "too many services for exact enumeration");
-  std::vector<bool> state(catalog.size(), false);
-  for (std::size_t mask = 0; mask < (std::size_t{1} << m); ++mask) {
-    double weight = 1.0;
-    for (std::size_t i = 0; i < m; ++i) {
-      const bool up = mask & (std::size_t{1} << i);
-      const double a = catalog.availability(involved_[i]);
-      weight *= up ? a : 1.0 - a;
-      state[involved_[i]] = up;
+  for (const ExecutionPath& path : paths_) {
+    double product = path.probability;
+    for (ServiceId s : std::set(path.services.begin(), path.services.end())) {
+      product *= catalog.availability(s);
     }
-    if (weight == 0.0) continue;
-    total += weight * success_given(state);
+    total += product;
   }
   return total;
 }
@@ -110,13 +101,26 @@ UserLevelModel::UserLevelModel(ServiceCatalog catalog,
     : catalog_(std::move(catalog)),
       functions_(std::move(functions)),
       scenarios_(std::move(scenarios)) {
-  UPA_REQUIRE(functions_.size() == scenarios_.function_names().size(),
+  const auto& names = scenarios_.function_names();
+  UPA_REQUIRE(functions_.size() == names.size(),
               "one FunctionModel per scenario-set function required");
-  for (std::size_t i = 0; i < functions_.size(); ++i) {
-    UPA_REQUIRE(functions_[i].name() == scenarios_.function_names()[i],
-                "function model '" + functions_[i].name() +
-                    "' does not match scenario function '" +
-                    scenarios_.function_names()[i] + "'");
+  for (const FunctionModel& function : functions_) {
+    const std::string& name = names[first_path_.size() - 1];
+    UPA_REQUIRE(function.name() == name,
+                "function model '" + function.name() +
+                    "' does not match scenario function '" + name + "'");
+    for (const ExecutionPath& path : function.paths()) {
+      std::vector<std::uint64_t> set(words_, 0);
+      for (ServiceId s : path.services) {
+        UPA_REQUIRE(s < catalog_.size(),
+                    "function " + name + " uses a service outside the catalog");
+        set[s / 64] |= std::uint64_t{1} << (s % 64);
+      }
+      if (path.probability == 0.0) continue;
+      path_probability_.push_back(path.probability);
+      path_services_.insert(path_services_.end(), set.begin(), set.end());
+    }
+    first_path_.push_back(path_probability_.size());
   }
 }
 
@@ -128,38 +132,34 @@ const FunctionModel& UserLevelModel::function(std::size_t i) const {
 double UserLevelModel::joint_success(
     const std::set<std::size_t>& functions) const {
   UPA_REQUIRE(!functions.empty(), "need at least one function");
-  // Union of involved services across the invoked functions.
-  std::vector<ServiceId> involved;
+  std::pmr::monotonic_buffer_resource arena;  // one allocation per call
+  std::pmr::vector<std::uint64_t> sets(words_, 0, &arena);
+  std::pmr::vector<double> mass({1.0}, &arena);
   for (std::size_t f : functions) {
     UPA_REQUIRE(f < functions_.size(), "function index out of range");
-    const auto& services = functions_[f].involved_services();
-    involved.insert(involved.end(), services.begin(), services.end());
-  }
-  std::sort(involved.begin(), involved.end());
-  involved.erase(std::unique(involved.begin(), involved.end()),
-                 involved.end());
-  const std::size_t m = involved.size();
-  UPA_REQUIRE(m <= 20, "too many services for exact enumeration");
-
-  double total = 0.0;
-  std::vector<bool> state(catalog_.size(), false);
-  for (std::size_t mask = 0; mask < (std::size_t{1} << m); ++mask) {
-    double weight = 1.0;
-    for (std::size_t i = 0; i < m; ++i) {
-      const bool up = mask & (std::size_t{1} << i);
-      const double a = catalog_.availability(involved[i]);
-      weight *= up ? a : 1.0 - a;
-      state[involved[i]] = up;
+    const std::size_t n = mass.size();  // unions so far; f's are appended
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = first_path_[f]; j < first_path_[f + 1]; ++j) {
+        double m = mass[i] * path_probability_[j];  // * A_s of new services
+        const std::size_t at = sets.size();
+        for (std::size_t w = 0; w < words_; ++w) {
+          const std::uint64_t had = sets[i * words_ + w];
+          sets.push_back(had | path_services_[j * words_ + w]);
+          for (auto bits = sets.back() & ~had; bits != 0; bits &= bits - 1) {
+            m *= catalog_.availability(w * 64 + std::countr_zero(bits));
+          }
+        }
+        std::size_t k = n * words_;  // an equal union of f's, else `at`
+        while (!std::equal(&sets[k], &sets[k] + words_, &sets[at])) k += words_;
+        if (k < at) sets.resize(at);  // merged: drop the candidate
+        else mass.push_back(0.0);
+        mass[k / words_] += m;
+      }
     }
-    if (weight == 0.0) continue;
-    double joint = 1.0;
-    for (std::size_t f : functions) {
-      joint *= functions_[f].success_given(state);
-      if (joint == 0.0) break;
-    }
-    total += weight * joint;
+    sets.erase(sets.begin(), sets.begin() + n * words_);
+    mass.erase(mass.begin(), mass.begin() + n);
   }
-  return total;
+  return std::accumulate(mass.begin(), mass.end(), 0.0);
 }
 
 double UserLevelModel::scenario_availability(

@@ -11,9 +11,22 @@
 //   user level      ->  UserLevelModel: scenario-set-weighted probability
 //                       that every function invoked in a user scenario
 //                       succeeds, with shared-service dependence handled
-//                       exactly by conditioning on service states.
+//                       exactly by path expansion.
+//
+// Path expansion: each function picks one of its paths independently of
+// the service states, so a scenario succeeds with probability
+//   sum over path combinations of (product of the path probabilities)
+//       * prod_{s in the union of their services} A_s.
+// The functions are folded in one at a time, and combinations with the
+// same union are merged, so a scenario carries one term per distinct
+// required-service set: at most the product of its functions' path
+// counts, and 1 when every function has a single path (3 at most for the
+// travel agency). A merge scans the terms kept so far, so k terms cost
+// O(k^2) bitset comparisons. A set of services is a bitset as wide as the
+// catalog, so there is no limit on the number of services.
 
 #include <cstddef>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -73,10 +86,12 @@ class FunctionModel {
   }
 
   /// Success probability given a concrete up/down state per service
-  /// (indexed by ServiceId over the whole catalog).
+  /// (indexed by ServiceId over the whole catalog). Every service id of
+  /// every path must index `service_up`.
   [[nodiscard]] double success_given(const std::vector<bool>& service_up) const;
 
-  /// Unconditional availability under independent services.
+  /// Unconditional availability under independent services:
+  /// sum_j p_j * prod_{s in S_j} A_s over the paths j.
   [[nodiscard]] double availability(const ServiceCatalog& catalog) const;
 
  private:
@@ -89,7 +104,8 @@ class FunctionModel {
 class UserLevelModel {
  public:
   /// `functions[i]` models the scenario set's function i (names must
-  /// match, guarding against mis-wiring).
+  /// match, guarding against mis-wiring). Every path's service ids must
+  /// lie inside `catalog`.
   UserLevelModel(ServiceCatalog catalog, std::vector<FunctionModel> functions,
                  profile::ScenarioSet scenarios);
 
@@ -102,9 +118,9 @@ class UserLevelModel {
   }
   [[nodiscard]] const FunctionModel& function(std::size_t i) const;
 
-  /// P(every function in `functions` succeeds): exact expectation over the
-  /// joint state of the involved services (independent services; shared
-  /// services across functions handled by the conditioning).
+  /// P(every function in `functions` succeeds), exact by path expansion
+  /// (independent services; a service shared across functions counts
+  /// once in each union).
   [[nodiscard]] double joint_success(
       const std::set<std::size_t>& functions) const;
 
@@ -124,6 +140,15 @@ class UserLevelModel {
   ServiceCatalog catalog_;
   std::vector<FunctionModel> functions_;
   profile::ScenarioSet scenarios_;
+  /// Words in a service bitset: bit s % 64 of word s / 64 is service s.
+  std::size_t words_ = catalog_.size() / 64 + 1;
+  /// The paths of nonzero probability, compiled at construction: those of
+  /// function f are first_path_[f] .. first_path_[f + 1] - 1; path j has
+  /// probability path_probability_[j] and its required services as the
+  /// bitset of words_ words at path_services_[j * words_].
+  std::vector<std::size_t> first_path_{0};
+  std::vector<double> path_probability_;
+  std::vector<std::uint64_t> path_services_;
 };
 
 }  // namespace upa::core

@@ -29,7 +29,7 @@ namespace upa::ta {
 
 /// The same measure evaluated through the generic four-level hierarchy
 /// (core::UserLevelModel) — service-sharing across functions handled by
-/// exact conditioning. Equals eq. (10) to floating-point accuracy; kept
+/// exact path expansion. Equals eq. (10) to floating-point accuracy; kept
 /// separate as a structural cross-check.
 [[nodiscard]] double user_availability_hierarchical(UserClass uc,
                                                     const TaParameters& p);

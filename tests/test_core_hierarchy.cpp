@@ -7,6 +7,8 @@
 #include "upa/common/error.hpp"
 #include "upa/core/hierarchy.hpp"
 #include "upa/core/performability.hpp"
+#include "upa/sim/rng.hpp"
+#include "upa/ta/model_builder.hpp"
 
 namespace uc = upa::core;
 namespace up = upa::profile;
@@ -65,6 +67,8 @@ TEST(FunctionModel, SuccessGivenStates) {
   EXPECT_DOUBLE_EQ(f.success_given({true, true}), 1.0);
   EXPECT_DOUBLE_EQ(f.success_given({true, false}), 0.6);
   EXPECT_DOUBLE_EQ(f.success_given({false, true}), 0.0);
+  // b is out of range even though a is down, which already fails F.
+  EXPECT_THROW((void)f.success_given({false}), ModelError);
 }
 
 TEST(FunctionModel, InvolvedServicesDeduplicated) {
@@ -151,6 +155,172 @@ TEST(UserLevel, MixturePathsInteractExactly) {
   // give A(F) * A(G) = 0.9*0.75 * 0.5 = 0.3375.
   EXPECT_NEAR(model.user_availability(), 0.45, 1e-12);
   EXPECT_NEAR(model.function(0).availability(model.catalog()), 0.675,
+              1e-12);
+}
+
+TEST(UserLevel, OutOfCatalogServiceIdRejectedAtConstruction) {
+  uc::ServiceCatalog catalog;
+  const auto s = catalog.add("s", 0.9);
+  std::vector<uc::FunctionModel> functions;
+  // The bad id sits on a zero-probability path: it is still a wiring bug.
+  functions.push_back(uc::FunctionModel(
+      "F", {uc::ExecutionPath{1.0, {s}}, uc::ExecutionPath{0.0, {s, 7}}}));
+  up::ScenarioSet scenarios({"F"});
+  scenarios.add("St-F-Ex", {0}, 1.0);
+  EXPECT_THROW(uc::UserLevelModel(std::move(catalog), std::move(functions),
+                                  std::move(scenarios)),
+               ModelError);
+}
+
+namespace {
+
+/// Test oracle: P(every function in `functions` succeeds) by enumerating
+/// all 2^m up/down states of the services they involve.
+double enumerate_joint(const uc::UserLevelModel& model,
+                       const std::set<std::size_t>& functions) {
+  std::set<uc::ServiceId> union_of;
+  for (std::size_t f : functions) {
+    const auto& involved = model.function(f).involved_services();
+    union_of.insert(involved.begin(), involved.end());
+  }
+  const std::vector<uc::ServiceId> involved(union_of.begin(), union_of.end());
+  const std::size_t m = involved.size();
+  double total = 0.0;
+  std::vector<bool> state(model.catalog().size(), false);
+  for (std::size_t mask = 0; mask < (std::size_t{1} << m); ++mask) {
+    double weight = 1.0;
+    for (std::size_t i = 0; i < m; ++i) {
+      const bool up = (mask >> i) & 1;
+      const double a = model.catalog().availability(involved[i]);
+      weight *= up ? a : 1.0 - a;
+      state[involved[i]] = up;
+    }
+    double joint = 1.0;
+    for (std::size_t f : functions) {
+      joint *= model.function(f).success_given(state);
+    }
+    total += weight * joint;
+  }
+  return total;
+}
+
+/// A seeded random model: few services, so functions share them; up to
+/// four paths per function, each path extending or replacing the last
+/// (overlapping paths), some paths of probability 0; availabilities
+/// include exactly 0 and 1.
+uc::UserLevelModel random_model(upa::sim::Xoshiro256& rng) {
+  uc::ServiceCatalog catalog;
+  const std::size_t services = 2 + rng() % 9;
+  for (std::size_t s = 0; s < services; ++s) {
+    const std::size_t kind = rng() % 5;
+    const double a = kind == 0   ? 0.0
+                     : kind == 1 ? 1.0
+                                 : 0.5 + 0.5 * rng.uniform01();
+    catalog.add("s" + std::to_string(s), a);
+  }
+  const std::size_t function_count = 1 + rng() % 5;
+  std::vector<std::string> names;
+  std::vector<uc::FunctionModel> functions;
+  for (std::size_t f = 0; f < function_count; ++f) {
+    names.push_back("F" + std::to_string(f));
+    std::vector<uc::ExecutionPath> paths(1 + rng() % 4);
+    double weight_sum = 0.0;
+    std::vector<uc::ServiceId> needs;
+    for (uc::ExecutionPath& path : paths) {
+      if (rng() % 3 == 0) needs.clear();
+      for (std::size_t k = 1 + rng() % 3; k > 0; --k) {
+        needs.push_back(rng() % services);
+      }
+      path.services = needs;
+      path.probability = rng() % 4 == 0 ? 0.0 : rng.uniform01();
+      weight_sum += path.probability;
+    }
+    if (weight_sum == 0.0) {
+      paths.back().probability = weight_sum = 1.0;
+    }
+    for (uc::ExecutionPath& path : paths) path.probability /= weight_sum;
+    functions.emplace_back(names.back(), std::move(paths));
+  }
+  up::ScenarioSet scenarios(names);
+  const std::size_t subsets = (std::size_t{1} << function_count) - 1;
+  for (std::size_t mask = 1; mask <= subsets; ++mask) {
+    std::set<std::size_t> invoked;
+    for (std::size_t f = 0; f < function_count; ++f) {
+      if ((mask >> f) & 1) invoked.insert(f);
+    }
+    scenarios.add("S" + std::to_string(mask), invoked,
+                  1.0 / static_cast<double>(subsets));
+  }
+  return uc::UserLevelModel(std::move(catalog), std::move(functions),
+                            std::move(scenarios));
+}
+
+}  // namespace
+
+TEST(UserLevel, PathExpansionMatchesStateEnumeration) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    upa::sim::Xoshiro256 rng(seed);
+    const uc::UserLevelModel model = random_model(rng);
+    double expected_user = 0.0;
+    for (const up::ScenarioClass& sc : model.scenarios().scenarios()) {
+      const double oracle = enumerate_joint(model, sc.functions);
+      EXPECT_NEAR(model.joint_success(sc.functions), oracle, 1e-12)
+          << "seed " << seed << " scenario " << sc.label;
+      expected_user += sc.probability * oracle;
+    }
+    EXPECT_NEAR(model.user_availability(), expected_user, 1e-12)
+        << "seed " << seed;
+    for (std::size_t f = 0; f < model.scenarios().function_names().size();
+         ++f) {
+      EXPECT_NEAR(model.function(f).availability(model.catalog()),
+                  enumerate_joint(model, {f}), 1e-12)
+          << "seed " << seed << " function " << f;
+    }
+  }
+}
+
+TEST(UserLevel, TravelAgencyScenariosMatchStateEnumeration) {
+  for (const auto uclass : {upa::ta::UserClass::kA, upa::ta::UserClass::kB}) {
+    for (std::size_t n_web = 1; n_web <= 8; ++n_web) {
+      upa::ta::TaParameters p = upa::ta::TaParameters::paper_defaults();
+      p.n_web = n_web;
+      const uc::UserLevelModel model = upa::ta::build_user_model(uclass, p);
+      for (const up::ScenarioClass& sc : model.scenarios().scenarios()) {
+        EXPECT_NEAR(model.joint_success(sc.functions),
+                    enumerate_joint(model, sc.functions), 1e-12)
+            << sc.label << " n_web " << n_web;
+      }
+    }
+  }
+}
+
+TEST(UserLevel, TwentyFourServicesNeedNoEnumeration) {
+  // 24 involved services: 2^24 states would be enumerated. For all_of
+  // functions the joint success is the product over their union.
+  upa::sim::Xoshiro256 rng(24);
+  uc::ServiceCatalog catalog;
+  for (std::size_t s = 0; s < 24; ++s) {
+    catalog.add("s" + std::to_string(s), 0.9 + 0.1 * rng.uniform01());
+  }
+  std::vector<uc::FunctionModel> functions;
+  functions.push_back(uc::FunctionModel::all_of("F", {0, 1, 2, 3, 4, 5, 6,
+                                                      7, 8, 9, 10, 11, 12}));
+  functions.push_back(uc::FunctionModel::all_of(
+      "G", {10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23}));
+  up::ScenarioSet scenarios({"F", "G"});
+  scenarios.add("St-F-G-Ex", {0, 1}, 1.0);
+  const uc::UserLevelModel model(std::move(catalog), std::move(functions),
+                                 std::move(scenarios));
+  double product = 1.0;
+  for (uc::ServiceId s = 0; s < 24; ++s) {
+    product *= model.catalog().availability(s);
+  }
+  EXPECT_NEAR(model.user_availability(), product, 1e-12);
+  double product_f = 1.0;
+  for (uc::ServiceId s = 0; s <= 12; ++s) {
+    product_f *= model.catalog().availability(s);
+  }
+  EXPECT_NEAR(model.function(0).availability(model.catalog()), product_f,
               1e-12);
 }
 
